@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1, capped at the CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _num(x: float) -> str:
     if x == INFINITE:
         return "inf"
@@ -186,7 +197,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sdiam", help="Steiner k-diameter with witness set and tree")
     p.add_argument("-g", "--graph", default="-", help="graph JSON file, - for stdin")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.add_argument("--no-witness", action="store_true")
     p.set_defaults(func=_cmd_sdiam)
 
@@ -205,7 +216,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=CorpusSpec.pair_count)
     p.add_argument("--sets", type=int, default=CorpusSpec.sets_per_instance)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="per-k closed-form table for a named family")
@@ -214,7 +225,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_table)
 
     return parser

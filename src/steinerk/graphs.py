@@ -92,22 +92,8 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
 
 def distance(g: Graph, u: int, v: int) -> float:
     """Shortest-path length between u and v; INFINITE across components."""
-    check_vertex(g, u)
     check_vertex(g, v)
-    if u == v:
-        return 0
-    dist = [-1] * g.order
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.adj[x]:
-            if dist[w] < 0:
-                dist[w] = dist[x] + 1
-                if w == v:
-                    return dist[w]
-                queue.append(w)
-    return INFINITE
+    return bfs_distances(g, u)[v]
 
 
 def all_pairs_distances(g: Graph) -> list[list[float]]:

@@ -10,14 +10,19 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import config
 from .graphs import INFINITE, Graph, check_vertex
-from .steiner import Distance, _steiner_value, _superset_table, steiner_distance
+from .steiner import (
+    Distance,
+    _popcounts,
+    _steiner_value,
+    _superset_table,
+    steiner_distance,
+)
 
 
 class SdiamResult(NamedTuple):
@@ -30,15 +35,6 @@ class SdiamResult(NamedTuple):
 def _check_k(g: Graph, k: int) -> None:
     if not 2 <= k <= g.order:
         raise ValueError(f"k must satisfy 2 <= k <= {g.order}, got {k}")
-
-
-@lru_cache(maxsize=8)
-def _popcounts(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        pop += ((masks >> b) & 1).astype(np.uint8)
-    return pop
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:

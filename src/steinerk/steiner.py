@@ -99,6 +99,16 @@ def _apsp_matrix(g: Graph) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=8)
+def _popcounts(n: int) -> np.ndarray:
+    """Set-bit count of every n-bit mask. Masks with bit b set are the upper
+    half of the first 2^(b+1), so each doubling step adds one to a copy."""
+    pop = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        pop = np.concatenate((pop, pop + 1))
+    return pop
+
+
 @lru_cache(maxsize=16)
 def _superset_table(g: Graph) -> np.ndarray:
     """best[mask] = order of the smallest connected superset of mask (255 if none).
@@ -127,10 +137,7 @@ def _superset_table(g: Graph) -> np.ndarray:
         if np.array_equal(grown, comp):
             break
         comp = grown
-    pop = np.zeros(total, dtype=np.uint8)
-    for b in range(n):
-        pop += ((masks >> b) & 1).astype(np.uint8)
-    best = np.where(comp == masks, pop, np.uint8(255)).astype(np.uint8)
+    best = np.where(comp == masks, _popcounts(n), np.uint8(255)).astype(np.uint8)
     best[0] = 255
     for b in range(n):
         half = best.reshape(-1, 2, 1 << b)

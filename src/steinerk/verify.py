@@ -14,6 +14,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from . import bounds as bd
@@ -506,165 +507,135 @@ def _ev_example3(p: dict) -> list[BoundReport]:
     return out
 
 
-def _ev_prop41(p: dict) -> list[BoundReport]:
-    family, n = p["family"], p["n"]
-    g = generate(FamilySpec(family, (n,)))
-    out = []
-    for k in range(2, n + 1):
-        t0 = time.perf_counter()
-        if family == "complete":
-            pred = k - 1
-        elif family == "path":
-            pred = n - 1
-        else:
-            pred = n * (k - 1) // k
-        val = steiner_k_diameter(g, k, witness=False).value
-        out.append(_mk(p["tid"], f"{g.name} k={k}", pred, val, pred, t0))
-    return out
+# ---------------------------------------------------------------------------
+# closed forms of Section 4 (Props 4.1-4.6), shared by the rules and the tables
 
 
-def _ev_prop42(p: dict) -> list[BoundReport]:
-    n, m, ks = p["n"], p["m"], p["ks"]
-    g = generate(FamilySpec("path", (n,)))
-    h = generate(FamilySpec("path", (m,)))
-    cart = cartesian_product(g, h).graph
-    lex = lexicographic_product(g, h).graph
-    out = []
-    for k in ks:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(cart, k, witness=False).value
-        lo = m + n - 2
-        up = lo + (k - 3) * min(m - 1, n - 1)
-        out.append(_mk(p["tid"], f"P{n}xP{m} k={k}", lo, exact, up, t0))
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(lex, k, witness=False).value
-        if m + 1 <= k:
-            lo = n - 1
-        else:
-            lo = k - 1
-        out.append(_mk(p["tid"], f"P{n}oP{m} k={k}", lo, exact, n + k - 3, t0))
-    return out
+def _cycle(dims: Sequence[int], k: int) -> tuple[int, int]:
+    v = dims[0] * (k - 1) // k
+    return v, v
 
 
-def _fold(kind: str, specs: list[Graph]) -> Graph:
-    acc = specs[0]
-    for nxt in specs[1:]:
-        if kind == "cart":
-            acc = cartesian_product(acc, nxt).graph
-        else:
-            acc = lexicographic_product(acc, nxt).graph
-    return acc
+def _petersen(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    """The Petersen graph, which is HP3 and HL3."""
+    if not 3 <= k <= 10:
+        return None
+    v = k + 1 if k in (3, 4) else (k if k <= 7 else k - 1)
+    return v, v
 
 
-def _ev_prop43(p: dict) -> list[BoundReport]:
-    dims, ks = p["dims"], p["ks"]
-    paths = [generate(FamilySpec("path", (d,))) for d in dims]
-    cart = _fold("cart", paths)
-    lex = _fold("lex", paths)
+def _hyper_petersen(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    if dims[0] == 3:
+        return _petersen(dims, k)
+    if k == 3:
+        return 5, 5
+    if 4 <= k <= 16:
+        return k - 1, 9 + k // 2
+    if 17 <= k <= 20:
+        return k - 1, k - 1
+    return None
+
+
+def _hyper_petersen_lex(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    if dims[0] == 3:
+        return _petersen(dims, k)
+    if not 3 <= k <= 20:
+        return None
+    v = k if k <= 7 else k - 1
+    return v, v
+
+
+def _grid(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    n, m = dims
+    if k < 3 or n < 3 or m < 3:
+        return None
+    return m + n - 2, m + n - 2 + (k - 3) * min(m - 1, n - 1)
+
+
+def _lex_grid(dims: Sequence[int], k: int) -> tuple[int, int]:
+    n, m = dims
+    return (n - 1 if m + 1 <= k else k - 1), n + k - 3
+
+
+def _mesh(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    if k < 3:
+        return None
+    dims = sorted(dims, reverse=True)
     total = sum(dims)
     r = len(dims)
+    return total - r, (k - 2) * (total - r + 1) + dims[0] - 1
+
+
+def _lex_mesh(dims: Sequence[int], k: int) -> tuple[int, int]:
+    lo = dims[0] - 1 if sum(dims[1:]) < k else k - 1
+    return lo, dims[0] + k - 2
+
+
+def _torus(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    if k < 3:
+        return None
+    dims = sorted(dims, reverse=True)
+    lo = sum(d * (k - 1) // k for d in dims)
+    up = dims[0] * (k - 1) // k + (k - 2) * sum(d * (k - 1) // k for d in dims[1:])
+    return lo, up
+
+
+def _lex_torus(dims: Sequence[int], k: int) -> tuple[int, int]:
     rest = sum(dims[1:])
-    out = []
-    for k in ks:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(cart, k, witness=False).value
-        lo = total - r
-        up = (k - 2) * (total - r + 1) + dims[0] - 1
-        out.append(_mk(p["tid"], f"mesh{dims} k={k}", lo, exact, up, t0))
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(lex, k, witness=False).value
-        if 1 + rest <= k:
-            lo = dims[0] - 1
-        elif k <= rest:
-            lo = k - 1
-        else:
-            lo = 0
-        out.append(_mk(p["tid"], f"lexmesh{dims} k={k}", lo, exact, dims[0] + k - 2, t0))
-    return out
-
-
-def _ev_prop44(p: dict) -> list[BoundReport]:
-    dims, ks_cart, ks_lex = p["dims"], p["ks_cart"], p["ks_lex"]
-    cycles = [generate(FamilySpec("cycle", (d,))) for d in dims]
-    cart = _fold("cart", cycles)
-    lex = _fold("lex", cycles)
-    rest = sum(dims[1:])
-    out = []
-    for k in ks_cart:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(cart, k, witness=False).value
-        lo = sum(d * (k - 1) // k for d in dims)
-        up = dims[0] * (k - 1) // k + (k - 2) * sum(d * (k - 1) // k for d in dims[1:])
-        out.append(_mk(p["tid"], f"torus{dims} k={k}", lo, exact, up, t0))
-    for k in ks_lex:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(lex, k, witness=False).value
-        if k <= dims[0]:
-            up = dims[0] * (k - 1) // k + k - 2
-        else:
-            up = dims[0] + k - 3
-        if rest + 1 <= k:
-            lo = dims[0] * (k - 1) // k
-        elif max(dims[0], rest) <= k:
-            lo = dims[0] - 1
-        elif 3 <= k <= rest:
-            lo = k - 1
-        else:
-            lo = 0
-        out.append(_mk(p["tid"], f"lextorus{dims} k={k}", lo, exact, up, t0))
-    return out
-
-
-def _ev_prop45(p: dict) -> list[BoundReport]:
-    dims, ks = p["dims"], p["ks"]
-    cliques = [generate(FamilySpec("complete", (d,))) for d in dims]
-    cart = _fold("cart", cliques)
-    lex = _fold("lex", cliques)
-    r = len(dims)
-    out = []
-    for k in ks:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(cart, k, witness=False).value
-        out.append(
-            _mk(p["tid"], f"hamming{dims} k={k}", r * (k - 1), exact,
-                (k - 1) * (k * r - 2 * r - k + 3), t0)
-        )
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(lex, k, witness=False).value
-        out.append(_mk(p["tid"], f"lexhamming{dims} k={k}", k - 1, exact, k - 1, t0))
-    return out
-
-
-def _ev_prop46(p: dict) -> list[BoundReport]:
-    which = p["which"]
-    out = []
-    if which in ("HP3", "HL3"):
-        fam = "hyper_petersen" if which == "HP3" else "hyper_petersen_lex"
-        g = generate(FamilySpec(fam, (3,)))
-        for k in range(3, 11):
-            t0 = time.perf_counter()
-            pred = k + 1 if k in (3, 4) else (k if k <= 7 else k - 1)
-            val = steiner_k_diameter(g, k, witness=False).value
-            out.append(_mk(p["tid"], f"{which} k={k}", pred, val, pred, t0))
-    elif which == "HL4":
-        g = generate(FamilySpec("hyper_petersen_lex", (4,)))
-        for k in range(3, 21):
-            t0 = time.perf_counter()
-            pred = k if k <= 7 else k - 1
-            val = steiner_k_diameter(g, k, witness=False).value
-            out.append(_mk(p["tid"], f"HL4 k={k}", pred, val, pred, t0))
+    if k <= dims[0]:
+        up = dims[0] * (k - 1) // k + k - 2
     else:
-        g = generate(FamilySpec("hyper_petersen", (4,)))
-        for k in range(3, 21):
+        up = dims[0] + k - 3
+    if rest + 1 <= k:
+        lo = dims[0] * (k - 1) // k
+    elif max(dims[0], rest) <= k:
+        lo = dims[0] - 1
+    elif 3 <= k <= rest:
+        lo = k - 1
+    else:
+        lo = 0
+    return lo, up
+
+
+def _hamming(dims: Sequence[int], k: int) -> tuple[int, int] | None:
+    # k starts at 3: the stated upper bound degenerates below the additive
+    # lower bound at k=2 once there are two or more factors
+    if not 3 <= k <= min(dims):
+        return None
+    r = len(dims)
+    return r * (k - 1), (k - 1) * (k * r - 2 * r - k + 3)
+
+
+# form key -> ((dims, k) -> (lower, upper), or None for k outside the stated
+# range). The keys without a lex_ prefix are the family names of the table
+# command; the lex_ forms are the lexicographic folds of the same factors.
+CLOSED_FORMS: dict[str, Callable[[Sequence[int], int], tuple[int, int] | None]] = {
+    "complete": lambda dims, k: (k - 1, k - 1),
+    "path": lambda dims, k: (dims[0] - 1, dims[0] - 1),
+    "cycle": _cycle,
+    "petersen": _petersen,
+    "hyper_petersen": _hyper_petersen,
+    "hyper_petersen_lex": _hyper_petersen_lex,
+    "grid": _grid,
+    "lex_grid": _lex_grid,
+    "mesh": _mesh,
+    "lex_mesh": _lex_mesh,
+    "torus": _torus,
+    "lex_torus": _lex_torus,
+    "hamming": _hamming,
+    "lex_hamming": lambda dims, k: (k - 1, k - 1),
+}
+
+
+def _ev_closed_form(p: dict) -> list[BoundReport]:
+    out = []
+    for k in p["ks"]:
+        for label, form, dims, g in p["graphs"]:
             t0 = time.perf_counter()
-            val = steiner_k_diameter(g, k, witness=False).value
-            if k == 3:
-                lo = up = 5
-            elif k <= 16:
-                lo, up = k - 1, 9 + k // 2
-            else:
-                lo = up = k - 1
-            out.append(_mk(p["tid"], f"HP4 k={k}", lo, val, up, t0))
+            # the builders pick every k inside the form's stated range
+            lo, up = CLOSED_FORMS[form](dims, k)
+            exact = steiner_k_diameter(g, k, witness=False).value
+            out.append(_mk(p["tid"], f"{label} k={k}", lo, exact, up, t0))
     return out
 
 
@@ -688,12 +659,7 @@ _OPS: dict[str, Callable[[dict], list[BoundReport]]] = {
     "example1": _ev_example1,
     "example2": _ev_example2,
     "example3": _ev_example3,
-    "prop41": _ev_prop41,
-    "prop42": _ev_prop42,
-    "prop43": _ev_prop43,
-    "prop44": _ev_prop44,
-    "prop45": _ev_prop45,
-    "prop46": _ev_prop46,
+    "closed_form": _ev_closed_form,
 }
 
 
@@ -801,14 +767,9 @@ def _inst_cor22(c: CorpusSpec) -> list[dict]:
     return _cart_set_instances(c, 250, "Cor2.2", "equal_sum", (3,), c.sets_per_instance)
 
 
-def _small_pairs(c: CorpusSpec, salt: int, count: int,
-                 g_orders: tuple[int, int], h_orders: tuple[int, int]) -> list:
-    return _factor_pairs(c, salt, count, g_orders, h_orders)
-
-
 def _inst_cor23(c: CorpusSpec) -> list[dict]:
     out = []
-    for g, h in _small_pairs(c, 260, 20, (3, 5), (3, 5)):
+    for g, h in _factor_pairs(c, 260, 20, (3, 5), (3, 5)):
         out.append({"op": "cart_sdiam", "tid": "Cor2.3", "g": g, "h": h,
                     "ks": [3], "check": "add3"})
     return out
@@ -816,7 +777,7 @@ def _inst_cor23(c: CorpusSpec) -> list[dict]:
 
 def _inst_thm22(c: CorpusSpec) -> list[dict]:
     out = []
-    pairs = _small_pairs(c, 270, 12, (3, 4), (3, 4)) + _small_pairs(c, 271, 3, (4, 4), (5, 5))
+    pairs = _factor_pairs(c, 270, 12, (3, 4), (3, 4)) + _factor_pairs(c, 271, 3, (4, 4), (5, 5))
     for g, h in pairs:
         total = g.order * h.order
         ks = sorted({k for k in (3, 4, 6, total) if 3 <= k <= total})
@@ -1022,12 +983,32 @@ def _inst_prop35(c: CorpusSpec) -> list[dict]:
     return out
 
 
+def _cart_and_lex(family: str, factor: str, dims: tuple[int, ...],
+                  labels: tuple[str, str] | None = None) -> list[tuple]:
+    """(label, form, dims, graph) of a named Cartesian family and of the
+    left-folded lexicographic product of the same factors."""
+    factors = [generate(FamilySpec(factor, (d,))) for d in dims]
+    lex = reduce(lambda acc, f: lexicographic_product(acc, f).graph, factors)
+    cart_label, lex_label = labels or (f"{family}{dims}", f"lex{family}{dims}")
+    return [(cart_label, family, dims, generate(FamilySpec(family, dims))),
+            (lex_label, f"lex_{family}", dims, lex)]
+
+
+def _threshold_ks(dims: Sequence[int]) -> list[int]:
+    """k = 3, 4, the order and the case thresholds of the lex forms, in range."""
+    prod = math.prod(dims)
+    rest = sum(dims[1:])
+    return sorted({k for k in (3, 4, rest, rest + 1, prod) if 3 <= k <= prod})
+
+
 def _inst_prop41(c: CorpusSpec) -> list[dict]:
     out = []
     for family in ("complete", "path", "cycle"):
         lo = 3 if family == "cycle" else 2
         for n in range(lo, 10):
-            out.append({"op": "prop41", "tid": "Prop4.1", "family": family, "n": n})
+            g = generate(FamilySpec(family, (n,)))
+            out.append({"op": "closed_form", "tid": "Prop4.1", "ks": list(range(2, n + 1)),
+                        "graphs": [(g.name, family, (n,), g)]})
     return out
 
 
@@ -1036,50 +1017,46 @@ def _inst_prop42(c: CorpusSpec) -> list[dict]:
     for n, m in ((3, 3), (3, 4), (4, 4), (3, 5), (4, 5)):
         total = n * m
         ks = sorted({k for k in (3, m, m + 1, total) if 3 <= k <= total})
-        out.append({"op": "prop42", "tid": "Prop4.2", "n": n, "m": m, "ks": ks})
+        graphs = _cart_and_lex("grid", "path", (n, m), (f"P{n}xP{m}", f"P{n}oP{m}"))
+        out.append({"op": "closed_form", "tid": "Prop4.2", "ks": ks, "graphs": graphs})
     return out
 
 
 def _inst_prop43(c: CorpusSpec) -> list[dict]:
     out = []
     for dims in ((3, 2, 2), (4, 2, 2), (3, 3, 2), (2, 2, 2), (4, 3)):
-        prod = math.prod(dims)
-        rest = sum(dims[1:])
-        ks = sorted({k for k in (3, 4, rest, rest + 1, prod) if 3 <= k <= prod})
-        out.append({"op": "prop43", "tid": "Prop4.3", "dims": dims, "ks": ks})
+        out.append({"op": "closed_form", "tid": "Prop4.3", "ks": _threshold_ks(dims),
+                    "graphs": _cart_and_lex("mesh", "path", dims)})
     return out
 
 
 def _inst_prop44(c: CorpusSpec) -> list[dict]:
+    # one payload per product, so each torus's rows come before its lex fold's
     out = []
-    for dims in ((3, 3), (4, 3), (5, 3)):
-        prod = math.prod(dims)
-        rest = sum(dims[1:])
-        ks = sorted({k for k in (3, 4, rest, rest + 1, prod) if 3 <= k <= prod})
-        out.append({"op": "prop44", "tid": "Prop4.4", "dims": dims,
-                    "ks_cart": ks, "ks_lex": ks})
-    out.append({"op": "prop44", "tid": "Prop4.4", "dims": (3, 3, 3),
-                "ks_cart": [3], "ks_lex": [3]})
+    cases = [(dims, _threshold_ks(dims)) for dims in ((3, 3), (4, 3), (5, 3))]
+    for dims, ks in cases + [((3, 3, 3), [3])]:
+        for entry in _cart_and_lex("torus", "cycle", dims):
+            out.append({"op": "closed_form", "tid": "Prop4.4", "ks": ks, "graphs": [entry]})
     return out
 
 
 def _inst_prop45(c: CorpusSpec) -> list[dict]:
-    # k starts at 3: the stated upper bound degenerates below the additive
-    # lower bound at k=2 once there are two or more factors
     out = []
     for dims in ((3, 3), (4, 3), (4, 4), (3, 3, 3)):
-        ks = list(range(3, dims[-1] + 1))
-        out.append({"op": "prop45", "tid": "Prop4.5", "dims": dims, "ks": ks})
+        out.append({"op": "closed_form", "tid": "Prop4.5", "ks": list(range(3, dims[-1] + 1)),
+                    "graphs": _cart_and_lex("hamming", "complete", dims)})
     return out
 
 
 def _inst_prop46(c: CorpusSpec) -> list[dict]:
-    return [
-        {"op": "prop46", "tid": "Prop4.6", "which": "HP3"},
-        {"op": "prop46", "tid": "Prop4.6", "which": "HL3"},
-        {"op": "prop46", "tid": "Prop4.6", "which": "HL4"},
-        {"op": "prop46", "tid": "Prop4.6", "which": "HP4"},
-    ]
+    out = []
+    for family, n in (("hyper_petersen", 3), ("hyper_petersen_lex", 3),
+                      ("hyper_petersen_lex", 4), ("hyper_petersen", 4)):
+        g = generate(FamilySpec(family, (n,)))
+        ks = list(range(3, 11 if n == 3 else 21))
+        out.append({"op": "closed_form", "tid": "Prop4.6", "ks": ks,
+                    "graphs": [(g.name, family, (n,), g)]})
+    return out
 
 
 def _inst_obs41(c: CorpusSpec) -> list[dict]:
@@ -1184,74 +1161,14 @@ def verify_theorem(
 # per-family closed-form tables
 
 
-def _predicted_for(spec: FamilySpec, k: int, order: int) -> tuple[float, float] | None:
-    fam, params = spec.family, spec.params
-    if fam == "complete":
-        return (k - 1, k - 1)
-    if fam == "path":
-        return (order - 1, order - 1)
-    if fam == "cycle":
-        v = order * (k - 1) // k
-        return (v, v)
-    if fam == "petersen" or (fam in ("hyper_petersen", "hyper_petersen_lex") and params[0] == 3):
-        if not 3 <= k <= 10:
-            return None
-        v = k + 1 if k in (3, 4) else (k if k <= 7 else k - 1)
-        return (v, v)
-    if fam == "hyper_petersen_lex" and params[0] == 4:
-        if not 3 <= k <= 20:
-            return None
-        v = k if k <= 7 else k - 1
-        return (v, v)
-    if fam == "hyper_petersen" and params[0] == 4:
-        if k == 3:
-            return (5, 5)
-        if 4 <= k <= 16:
-            return (k - 1, 9 + k // 2)
-        if 17 <= k <= 20:
-            return (k - 1, k - 1)
-        return None
-    if fam == "grid":
-        n, m = params
-        if k < 3 or n < 3 or m < 3:
-            return None
-        return (m + n - 2, m + n - 2 + (k - 3) * min(m - 1, n - 1))
-    if fam == "mesh":
-        dims = sorted(params, reverse=True)
-        if k < 3:
-            return None
-        total = sum(dims)
-        r = len(dims)
-        return (total - r, (k - 2) * (total - r + 1) + dims[0] - 1)
-    if fam == "torus":
-        dims = sorted(params, reverse=True)
-        if k < 3:
-            return None
-        lo = sum(d * (k - 1) // k for d in dims)
-        up = dims[0] * (k - 1) // k + (k - 2) * sum(d * (k - 1) // k for d in dims[1:])
-        return (lo, up)
-    if fam == "hamming":
-        dims = sorted(params, reverse=True)
-        if k > dims[-1]:
-            return None
-        r = len(dims)
-        return (r * (k - 1), (k - 1) * (k * r - 2 * r - k + 3))
-    raise ValueError(f"no closed form registered for family {fam!r}")
-
-
-_TABLE_FAMILIES = (
-    "complete", "path", "cycle", "petersen", "grid", "mesh", "torus",
-    "hamming", "hyper_petersen", "hyper_petersen_lex",
-)
-
-
 def closed_form_table(
     spec: FamilySpec, k_range: Iterable[int], jobs: int = 1
 ) -> list[TableRow]:
     """One row per k: the stated value or interval next to the computed one."""
-    if spec.family not in _TABLE_FAMILIES:
+    if spec.family not in CLOSED_FORMS:
         raise ValueError(f"no closed form registered for family {spec.family!r}")
-    if spec.family in ("hyper_petersen", "hyper_petersen_lex") and spec.params[0] > 4:
+    hyper = spec.family in ("hyper_petersen", "hyper_petersen_lex")
+    if hyper and len(spec.params) == 1 and spec.params[0] > 4:
         raise ValueError(f"no stated table for {spec.family} of dimension {spec.params[0]}")
     g = generate(spec)
     rows = []
@@ -1260,7 +1177,7 @@ def closed_form_table(
         if not 2 <= k <= g.order:
             rows.append(TableRow(k, "", None, SKIPPED, 0.0, f"k outside 2..{g.order}"))
             continue
-        pred = _predicted_for(spec, k, g.order)
+        pred = CLOSED_FORMS[spec.family](spec.params, k)
         if pred is None:
             rows.append(TableRow(k, "", None, SKIPPED, 0.0, "k outside the stated range"))
             continue

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for graph-valued properties."""
+"""Shared hypothesis strategies for graph-valued properties, and a witness-tree
+checker that is independent of the package's own, so the tests never judge the
+program with its own checker."""
 
 from hypothesis import strategies as st
 
@@ -32,3 +34,29 @@ def graph_with_terminals(draw, min_k: int = 2, max_k: int = 5, connected: bool =
     k = draw(st.integers(min_k, min(max_k, g.order)))
     terms = draw(st.permutations(range(g.order)))[:k]
     return g, sorted(terms)
+
+
+def is_valid_tree(g, edges, terminals) -> bool:
+    """True iff edges form a tree of g whose vertices include every terminal."""
+    verts = {v for e in edges for v in e}
+    if not edges:
+        return len(set(terminals)) <= 1
+    if not set(terminals) <= verts:
+        return False
+    if len(edges) != len(verts) - 1:
+        return False
+    if any(not g.has_edge(u, v) for u, v in edges):
+        return False
+    adj = {v: [] for v in verts}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = set()
+    stack = [next(iter(verts))]
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        stack.extend(adj[u])
+    return seen == verts

@@ -21,30 +21,7 @@ from steinerk import (
 )
 from steinerk.families import complete, cycle, path, star
 
-from strategies import connected_graphs
-
-
-def _is_valid_tree(g, edges, terminals):
-    verts = {v for e in edges for v in e}
-    if not edges:
-        return len(set(terminals)) <= 1
-    if not set(terminals) <= verts:
-        return False
-    if len(edges) != len(verts) - 1:
-        return False
-    if any(not g.has_edge(u, v) for u, v in edges):
-        return False
-    seen, stack = set(), [next(iter(verts))]
-    adj = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(adj[u])
-    return seen == verts
+from strategies import connected_graphs, is_valid_tree
 
 
 # --- the drop-3 surplus parameter ---
@@ -221,7 +198,7 @@ def test_cartesian_builder_single_copy():
     assert built.distance == 4
     prod = cartesian_product(g, h)
     ids = [prod.encode(*q) for q in s]
-    assert _is_valid_tree(prod.graph, built.tree_edges, ids)
+    assert is_valid_tree(prod.graph, built.tree_edges, ids)
 
 
 def test_cartesian_builder_block_instance():
@@ -231,7 +208,7 @@ def test_cartesian_builder_block_instance():
     built = build_cartesian_tree(g, h, s)
     assert built.distance == 12
     prod = cartesian_product(g, h)
-    assert _is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
+    assert is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
     exact = steiner_distance(prod.graph, [prod.encode(*q) for q in s], witness=False)
     assert exact.distance == 12
 
@@ -247,7 +224,7 @@ def test_cartesian_builder_three_terminals_exact(g, h, rnd):
     assert built.distance == d_g + d_h
     prod = cartesian_product(g, h)
     ids = [prod.encode(*q) for q in s]
-    assert _is_valid_tree(prod.graph, built.tree_edges, ids)
+    assert is_valid_tree(prod.graph, built.tree_edges, ids)
     assert steiner_distance(prod.graph, ids, witness=False).distance == built.distance
 
 
@@ -260,7 +237,7 @@ def test_cartesian_builder_stays_under_upper_bound(g, h, rnd):
     lo, up = cartesian_distance_bounds(g, h, s)
     assert lo <= built.distance <= up
     prod = cartesian_product(g, h)
-    assert _is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
+    assert is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
 
 
 def test_lex_builder_matches_closed_form():
@@ -274,7 +251,7 @@ def test_lex_builder_matches_closed_form():
         built = build_lexicographic_tree(g, h, s)
         assert built.distance == lex_distance_closed_form(g, h, s)
         ids = [prod.encode(*q) for q in s]
-        assert _is_valid_tree(prod.graph, built.tree_edges, ids)
+        assert is_valid_tree(prod.graph, built.tree_edges, ids)
 
 
 def test_lex_builder_star_through_neighbor_copy():
@@ -284,7 +261,7 @@ def test_lex_builder_star_through_neighbor_copy():
     built = build_lexicographic_tree(g, h, s)
     assert built.distance == 3
     prod = lexicographic_product(g, h)
-    assert _is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
+    assert is_valid_tree(prod.graph, built.tree_edges, [prod.encode(*q) for q in s])
 
 
 def test_lex_builder_all_distinct_copies():

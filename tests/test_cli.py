@@ -10,7 +10,7 @@ import pytest
 
 import steinerk
 from steinerk import from_json, to_json
-from steinerk.cli import main
+from steinerk.cli import _build_parser, main
 from steinerk.families import cycle, path, star
 
 
@@ -175,6 +175,39 @@ def test_table_json(capsys):
 def test_table_unknown_family(capsys):
     assert main(["table", "--family", "widget", "--kmin", "2", "--kmax", "3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_table_hamming_starts_at_k3(capsys):
+    # the stated hamming interval is empty at k=2, so that row is skipped, not failed
+    assert main(["table", "--family", "hamming", "--params", "3", "3",
+                 "--kmin", "2", "--kmax", "3", "--jobs", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    k2, k3 = (row.split(",") for row in rows)
+    assert k2[0] == "2" and k2[3] == "SKIPPED" and "stated range" in k2[5]
+    assert k3[0] == "3" and k3[3] == "PASS"
+
+
+JOBS_COMMANDS = (
+    ["sdiam", "-k", "3"],
+    ["verify", "--theorem", "Example1"],
+    ["table", "--family", "cycle", "--params", "5", "--kmin", "2", "--kmax", "3"],
+)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda c: c[0])
+def test_jobs_below_one_exits_1(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--jobs", jobs])
+    assert exc.value.code == 1
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda c: c[0])
+def test_jobs_capped_at_cpu_count(command):
+    # parse only: a pool of this size is never started
+    args = _build_parser().parse_args(command + ["--jobs", "100000"])
+    assert args.jobs == (os.cpu_count() or 1)
 
 
 def test_usage_error_exits_1():

@@ -11,34 +11,9 @@ from steinerk import (
     support,
 )
 from steinerk.families import complete, cycle, path, spider, star
-from steinerk.steiner import lexmin_spanning_tree
+from steinerk.steiner import _popcounts, lexmin_spanning_tree
 
-from strategies import graph_with_terminals
-
-
-def _is_valid_tree(g, edges, terminals):
-    verts = {v for e in edges for v in e}
-    if not edges:
-        return len(set(terminals)) <= 1
-    if not set(terminals) <= verts:
-        return False
-    if len(edges) != len(verts) - 1:
-        return False
-    if any(not g.has_edge(u, v) for u, v in edges):
-        return False
-    adj = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    stack = [next(iter(verts))]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u])
-    return seen == verts
+from strategies import graph_with_terminals, is_valid_tree
 
 
 def test_support_collapses_multisets():
@@ -55,7 +30,7 @@ def test_two_terminals_reduce_to_shortest_path():
     g = cycle(8)
     res = steiner_distance(g, [0, 3])
     assert res.distance == distance(g, 0, 3) == 3
-    assert _is_valid_tree(g, res.tree_edges, [0, 3])
+    assert is_valid_tree(g, res.tree_edges, [0, 3])
 
 
 def test_cycle_three_terminals():
@@ -69,13 +44,13 @@ def test_spider_leaves():
     g = spider(3, 2, 1, 1, 1)
     res = steiner_distance(g, [2, 3, 4])
     assert res.distance == 4
-    assert _is_valid_tree(g, res.tree_edges, [2, 3, 4])
+    assert is_valid_tree(g, res.tree_edges, [2, 3, 4])
 
 
 def test_star_leaves():
     res = steiner_distance(star(5), [0, 1, 2])
     assert res.distance == 3
-    assert _is_valid_tree(star(5), res.tree_edges, [0, 1, 2])
+    assert is_valid_tree(star(5), res.tree_edges, [0, 1, 2])
 
 
 def test_terminals_across_components_are_unreachable():
@@ -111,7 +86,7 @@ def test_witness_can_be_skipped():
 def test_oracle_matches_on_complete_graph():
     val, tree = steiner_distance_oracle(complete(6), [0, 2, 5])
     assert val == 2
-    assert _is_valid_tree(complete(6), tree, [0, 2, 5])
+    assert is_valid_tree(complete(6), tree, [0, 2, 5])
 
 
 def test_oracle_guard_trips():
@@ -156,7 +131,7 @@ def test_dp_matches_superset_oracle(case):
     want, _ = steiner_distance_oracle(g, terms)
     assert got.distance == want
     if got.distance != INFINITE:
-        assert _is_valid_tree(g, got.tree_edges, terms)
+        assert is_valid_tree(g, got.tree_edges, terms)
         assert len(got.tree_edges) == got.distance
 
 
@@ -171,3 +146,8 @@ def test_route_dispatch_agrees(case):
         g, terms, witness=False, spectrum_limit=0, dp_limit=max(len(terms), 2)
     ).distance
     assert via_spectrum == via_small_k == via_dp
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_popcounts_match_bit_counting(n):
+    assert _popcounts(n).tolist() == [bin(m).count("1") for m in range(1 << n)]

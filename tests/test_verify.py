@@ -112,6 +112,8 @@ def test_table_refuses_unknown_family():
         closed_form_table(FamilySpec("spider", (3, 2, 1, 1, 1)), [3])
     with pytest.raises(ValueError, match="dimension"):
         closed_form_table(FamilySpec("hyper_petersen", (5,)), [3])
+    with pytest.raises(ValueError, match="parameter"):
+        closed_form_table(FamilySpec("hyper_petersen", ()), [3])
 
 
 def test_table_skips_oversized_sweeps():
