@@ -31,6 +31,13 @@ def dp_limit(override: int | None = None) -> int:
     return override if override is not None else _env_int(DP_LIMIT_ENV, DEFAULT_DP_LIMIT)
 
 
+def check_dp_limit(size: int, override: int | None = None) -> None:
+    """Raise GuardExceeded if terminal sets of this size are over the DP limit."""
+    limit = dp_limit(override)
+    if size > limit:
+        raise GuardExceeded(f"terminal support of size {size} exceeds the DP limit {limit}")
+
+
 def oracle_guard(override: int | None = None) -> int:
     return override if override is not None else _env_int(ORACLE_GUARD_ENV, DEFAULT_ORACLE_GUARD)
 

@@ -242,4 +242,13 @@ def from_json(text: str) -> Graph:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(payload, dict) or "order" not in payload or "edges" not in payload:
         raise ValueError("malformed graph JSON: expected object with order and edges")
-    return Graph(payload["order"], payload["edges"], name=payload.get("name", ""))
+    order, edges = payload["order"], payload["edges"]
+    # JSON true/false parse as bool, a subclass of int, so test the exact type
+    if type(order) is not int:
+        raise ValueError(f"malformed graph JSON: order must be an integer, got {order!r}")
+    if not isinstance(edges, list):
+        raise ValueError(f"malformed graph JSON: edges must be a list, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"malformed graph JSON: edge {e!r} is not a pair of integers")
+    return Graph(order, edges, name=payload.get("name", ""))

@@ -6,7 +6,6 @@ table; larger graphs sweep k-subsets in colex order with connectivity shortcuts
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .graphs import INFINITE, Graph, check_vertex
+from .graphs import INFINITE, Graph, check_vertex, component_of
 from .steiner import (
     Distance,
     _popcounts,
@@ -52,12 +51,9 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     """Max Steiner distance over k-sets (containing require_bit if given) plus the
     smallest attaining bitmask, read off the connected-superset table."""
     table = _superset_table(g)
-    pop = _popcounts(g.order)
-    sel = pop == k
+    idx = np.nonzero(_popcounts(g.order) == k)[0]
     if require_bit is not None:
-        masks = np.arange(1 << g.order, dtype=np.int64)
-        sel &= ((masks >> require_bit) & 1).astype(bool)
-    idx = np.nonzero(sel)[0]
+        idx = idx[(idx >> require_bit) & 1 == 1]
     vals = table[idx]
     unreachable = vals == 255
     if unreachable.any():
@@ -67,9 +63,10 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     return top - 1, first
 
 
-def _colex_masks(n: int, k: int, start: int | None = None, count: int | None = None):
-    """k-subset bitmasks of an n-set in ascending numeric (colex) order."""
-    mask = start if start is not None else (1 << k) - 1
+def _colex_masks(n: int, start: int, count: int | None = None):
+    """Bitmasks of n-set subsets of start's size, from start upward in ascending
+    numeric (colex) order."""
+    mask = start
     limit = 1 << n
     emitted = 0
     while mask < limit and (count is None or emitted < count):
@@ -94,46 +91,41 @@ def _colex_unrank(n: int, k: int, rank: int) -> int:
 
 
 def _component_labels(g: Graph) -> list[int]:
+    """Each vertex's component, named by its smallest vertex."""
     labels = [-1] * g.order
-    current = 0
     for v in range(g.order):
-        if labels[v] >= 0:
-            continue
-        stack = [v]
-        labels[v] = current
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if labels[w] < 0:
-                    labels[w] = current
-                    stack.append(w)
-        current += 1
+        if labels[v] < 0:
+            for w in component_of(g, v):
+                labels[w] = v
     return labels
 
 
-def _sweep_slice(
-    g: Graph, k: int, start_rank: int, count: int
-) -> tuple[Distance, int] | None:
-    """Best (value, smallest attaining mask) over one colex slice of k-subsets."""
+def _sweep_values(
+    g: Graph, k: int, start: int = 0, count: int | None = None, require: int | None = None
+):
+    """(value, mask) of count k-sets (all by default) from the start-th in colex
+    order, skipping sets without vertex require if given. Stops after the first
+    set that spans two components, whose value is INFINITE."""
     labels = _component_labels(g)
-    best_val: Distance = -1
-    best_mask = -1
-    start = _colex_unrank(g.order, k, start_rank)
-    for mask in _colex_masks(g.order, k, start=start, count=count):
+    for mask in _colex_masks(g.order, _colex_unrank(g.order, k, start), count):
+        if require is not None and not (mask >> require) & 1:
+            continue
         terms = _mask_to_set(mask)
         root = labels[terms[0]]
         if any(labels[t] != root for t in terms[1:]):
-            return INFINITE, mask  # ascending masks: first unreachable set wins ties
-        value = _steiner_value(g, terms)
-        if value > best_val:
-            best_val = value
-            best_mask = mask
-    if best_mask < 0:
-        return None
-    return best_val, best_mask
+            yield INFINITE, mask
+            return
+        yield _steiner_value(g, terms), mask
 
 
-def _sweep_slice_job(payload) -> tuple[Distance, int] | None:
+def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distance, int]:
+    """Best (value, -mask) over one colex slice of k-subsets: the largest value,
+    then the smallest attaining mask. Ascending masks make the first unreachable
+    set the slice's answer."""
+    return max((value, -mask) for value, mask in _sweep_values(g, k, start_rank, count))
+
+
+def _sweep_slice_job(payload) -> tuple[Distance, int]:
     order, edges, k, start_rank, count = payload
     return _sweep_slice(Graph(order, edges), k, start_rank, count)
 
@@ -142,9 +134,8 @@ def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
     total = math.comb(g.order, k)
     workers = max(1, min(jobs, total))
     if workers == 1:
-        result = _sweep_slice(g, k, 0, total)
-        assert result is not None
-        return result
+        value, neg_mask = _sweep_slice(g, k, 0, total)
+        return value, -neg_mask
     chunk = (total + workers - 1) // workers
     payloads = []
     rank = 0
@@ -153,16 +144,8 @@ def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
         payloads.append((g.order, g.edges, k, rank, size))
         rank += size
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        partials = [r for r in pool.map(_sweep_slice_job, payloads) if r is not None]
-    # deterministic reduce: larger value first, then smaller bitmask
-    best_val, best_mask = partials[0]
-    for value, mask in partials[1:]:
-        better = (value == INFINITE and best_val != INFINITE) or (
-            best_val != INFINITE and value != INFINITE and value > best_val
-        )
-        if better or (value == best_val and mask < best_mask):
-            best_val, best_mask = value, mask
-    return best_val, best_mask
+        value, neg_mask = max(pool.map(_sweep_slice_job, payloads))
+    return value, -neg_mask
 
 
 def steiner_eccentricity(
@@ -173,16 +156,8 @@ def steiner_eccentricity(
     _check_k(g, k)
     if g.order <= config.spectrum_limit(spectrum_limit):
         return _spectrum_extreme(g, k, v)[0]
-    labels = _component_labels(g)
-    best: Distance = -1
-    others = [w for w in range(g.order) if w != v]
-    for combo in itertools.combinations(others, k - 1):
-        terms = tuple(sorted((v,) + combo))
-        root = labels[terms[0]]
-        if any(labels[t] != root for t in terms[1:]):
-            return INFINITE
-        best = max(best, _steiner_value(g, terms))
-    return best
+    config.check_dp_limit(k)
+    return max(value for value, _ in _sweep_values(g, k, require=v))
 
 
 def steiner_k_radius(g: Graph, k: int, *, spectrum_limit: int | None = None) -> Distance:
@@ -190,16 +165,13 @@ def steiner_k_radius(g: Graph, k: int, *, spectrum_limit: int | None = None) -> 
     _check_k(g, k)
     if g.order <= config.spectrum_limit(spectrum_limit):
         return min(_spectrum_extreme(g, k, v)[0] for v in range(g.order))
-    labels = _component_labels(g)
+    config.check_dp_limit(k)
+    # once a k-set spans two components, so does one through every vertex
     ecc: list[Distance] = [-1] * g.order
-    for mask in _colex_masks(g.order, k):
-        terms = _mask_to_set(mask)
-        root = labels[terms[0]]
-        if any(labels[t] != root for t in terms[1:]):
-            value: Distance = INFINITE
-        else:
-            value = _steiner_value(g, terms)
-        for t in terms:
+    for value, mask in _sweep_values(g, k):
+        if value == INFINITE:
+            return INFINITE
+        for t in _mask_to_set(mask):
             ecc[t] = max(ecc[t], value)
     return min(ecc)
 
@@ -218,6 +190,7 @@ def steiner_k_diameter(
     if g.order <= config.spectrum_limit(spectrum_limit):
         value, mask = _spectrum_extreme(g, k, None)
     else:
+        config.check_dp_limit(k)
         value, mask = _sweep_extreme(g, k, jobs or os.cpu_count() or 1)
     witness_set = _mask_to_set(mask)
     tree: tuple[tuple[int, int], ...] = ()

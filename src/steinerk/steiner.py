@@ -344,11 +344,7 @@ def steiner_distance(
     lexicographically smallest edge list; pass witness=False to skip extracting it.
     """
     sup = _validate_terminals(g, terminals)
-    limit = config.dp_limit(dp_limit)
-    if len(sup) > limit:
-        raise config.GuardExceeded(
-            f"terminal support of size {len(sup)} exceeds the DP limit {limit}"
-        )
+    config.check_dp_limit(len(sup), dp_limit)
     if len(sup) == 1:
         return SteinerResult(0, ())
     comp = component_of(g, sup[0])

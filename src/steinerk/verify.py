@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .products import cartesian_product, lexicographic_product
 from .sdiam import steiner_k_diameter
-from .steiner import steiner_distance, steiner_distance_oracle, support
+from .steiner import Distance, steiner_distance, steiner_distance_oracle, support
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -246,63 +246,6 @@ def _ev_high_k(p: dict) -> list[BoundReport]:
     return out
 
 
-def _ev_cart_pair(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    g, h, a, b = p["g"], p["h"], p["a"], p["b"]
-    prod = cartesian_product(g, h).graph
-    ga, ha = divmod(a, h.order)
-    gb, hb = divmod(b, h.order)
-    predicted = distance(g, ga, gb) + distance(h, ha, hb)
-    actual = distance(prod, a, b)
-    inst = f"{_gname(g)}x{_gname(h)} ({ga},{ha})-({gb},{hb})"
-    return [_mk(p["tid"], inst, predicted, actual, predicted, t0)]
-
-
-def _ev_cart_set(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    g, h, ids, check = p["g"], p["h"], p["ids"], p["check"]
-    prod = cartesian_product(g, h).graph
-    pairs = [divmod(i, h.order) for i in ids]
-    exact = steiner_distance(prod, ids, witness=False).distance
-    inst = f"{_gname(g)}x{_gname(h)} S={_set_str(ids)}"
-    tid = p["tid"]
-    if check == "lower":
-        d_g = steiner_distance(g, [q[0] for q in pairs], witness=False).distance
-        d_h = steiner_distance(h, [q[1] for q in pairs], witness=False).distance
-        return [_mk(tid, inst, d_g + d_h, exact, INFINITE, t0)]
-    if check == "sandwich":
-        lo, up = bd.cartesian_distance_bounds(g, h, pairs)
-        return [_mk(tid, inst, lo, exact, up, t0)]
-    if check == "chain":
-        # the all-distinct specialization may never beat the true-parameter bound
-        k = len(ids)
-        d_g = steiner_distance(g, [q[0] for q in pairs], witness=False).distance
-        d_h = steiner_distance(h, [q[1] for q in pairs], witness=False).distance
-        loose = min(d_g + (k - 2) * d_h, d_h + (k - 2) * d_g)
-        _, tight = bd.cartesian_distance_bounds(g, h, pairs)
-        return [_mk(tid, inst, exact, tight, loose, t0)]
-    # equal_sum
-    d_g = steiner_distance(g, [q[0] for q in pairs], witness=False).distance
-    d_h = steiner_distance(h, [q[1] for q in pairs], witness=False).distance
-    return [_mk(tid, inst, d_g + d_h, exact, d_g + d_h, t0)]
-
-
-def _ev_cart_builder(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    g, h, ids = p["g"], p["h"], p["ids"]
-    prod = cartesian_product(g, h).graph
-    pairs = [divmod(i, h.order) for i in ids]
-    built = bd.build_cartesian_tree(g, h, pairs)
-    lo, up = bd.cartesian_distance_bounds(g, h, pairs)
-    inst = f"{_gname(g)}x{_gname(h)} S={_set_str(ids)} built"
-    ok = _valid_tree(prod, built.tree_edges, ids) and lo <= built.distance <= up
-    row = _flag(p["tid"], inst, ok, t0)
-    row.lower, row.exact, row.upper = lo, built.distance, up
-    if not ok:
-        row.verdict = FAIL
-    return [row]
-
-
 def _valid_tree(g: Graph, edges: Sequence[tuple[int, int]], terminals: Sequence[int]) -> bool:
     if not edges:
         return len(support(terminals)) <= 1
@@ -328,103 +271,65 @@ def _valid_tree(g: Graph, edges: Sequence[tuple[int, int]], terminals: Sequence[
     return seen == verts
 
 
-def _ev_cart_sdiam(p: dict) -> list[BoundReport]:
-    g, h, ks, check = p["g"], p["h"], p["ks"], p["check"]
-    out = []
-    for k in ks:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(cartesian_product(g, h).graph, k, witness=False).value
-        inst = f"{_gname(g)}x{_gname(h)} k={k}"
-        if check == "add3":
-            pred = (
-                steiner_k_diameter(g, 3, witness=False).value
-                + steiner_k_diameter(h, 3, witness=False).value
-            )
-            out.append(_mk(p["tid"], inst, pred, exact, pred, t0))
-        else:
-            lo, up = bd.cartesian_sdiam_bounds(g, h, k)
-            out.append(_mk(p["tid"], inst, lo, exact, up, t0))
-    return out
+def _product(p: dict) -> tuple[Graph, str]:
+    """The payload's product graph and instance stem: a cart_ op gives GxH,
+    a lex_ op the lexicographic product GoH."""
+    g, h = p["g"], p["h"]
+    if p["op"].startswith("cart_"):
+        return cartesian_product(g, h).graph, f"{_gname(g)}x{_gname(h)}"
+    return lexicographic_product(g, h).graph, f"{_gname(g)}o{_gname(h)}"
 
 
-def _ev_lex_pair(p: dict) -> list[BoundReport]:
+def _ev_pair(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
-    g, h, a, b, check = p["g"], p["h"], p["a"], p["b"], p["check"]
-    prod = lexicographic_product(g, h).graph
+    g, h, a, b = p["g"], p["h"], p["a"], p["b"]
+    prod, stem = _product(p)
     ga, ha = divmod(a, h.order)
     gb, hb = divmod(b, h.order)
-    actual = distance(prod, a, b)
-    inst = f"{_gname(g)}o{_gname(h)} ({ga},{ha})-({gb},{hb})"
-    if check == "lower":
-        return [_mk(p["tid"], inst, distance(g, ga, gb), actual, INFINITE, t0)]
-    if ga != gb:
-        pred = distance(g, ga, gb)
-    elif g.degree(ga) == 0:
-        pred = distance(h, ha, hb)
-    else:
-        pred = min(distance(h, ha, hb), 2)
-    return [_mk(p["tid"], inst, pred, actual, pred, t0)]
+    lo, up = PAIR_RULES[p["tid"]](g, h, (ga, ha), (gb, hb))
+    inst = f"{stem} ({ga},{ha})-({gb},{hb})"
+    return [_mk(p["tid"], inst, lo, distance(prod, a, b), up, t0)]
 
 
-def _ev_lex_set(p: dict) -> list[BoundReport]:
+def _ev_set(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
-    g, h, ids, check = p["g"], p["h"], p["ids"], p["check"]
-    prod = lexicographic_product(g, h).graph
+    tid, g, h, ids = p["tid"], p["g"], p["h"], p["ids"]
+    prod, stem = _product(p)
     pairs = [divmod(i, h.order) for i in ids]
     exact = steiner_distance(prod, ids, witness=False).distance
-    inst = f"{_gname(g)}o{_gname(h)} S={_set_str(ids)}"
-    tid = p["tid"]
-    if check == "lower":
-        d_g = steiner_distance(g, [q[0] for q in pairs], witness=False).distance
-        return [_mk(tid, inst, d_g, exact, INFINITE, t0)]
-    if check == "distinct":
-        d_g = steiner_distance(g, [q[0] for q in pairs], witness=False).distance
-        return [_mk(tid, inst, d_g, exact, d_g, t0)]
-    if check == "k3":
-        pred = bd.lex_distance_k3(g, h, pairs)
-        return [_mk(tid, inst, pred, exact, pred, t0)]
-    # closed form, optionally cross-checked against the superset oracle
-    pred = bd.lex_distance_closed_form(g, h, pairs)
-    rows = [_mk(tid, inst, pred, exact, pred, t0)]
-    extras = prod.order - len(support(ids))
-    if extras <= min(14, oracle_guard()):
+    inst = f"{stem} S={_set_str(ids)}"
+    rows = [_mk(tid, inst, *SET_RULES[tid](g, h, pairs, exact), t0)]
+    # optionally cross-checked against the superset oracle
+    if p.get("oracle") and prod.order - len(support(ids)) <= min(14, oracle_guard()):
         t1 = time.perf_counter()
         oracle = steiner_distance_oracle(prod, ids)[0]
         rows.append(_mk(tid, inst + " oracle", oracle, exact, oracle, t1))
     return rows
 
 
-def _ev_lex_builder(p: dict) -> list[BoundReport]:
+def _ev_builder(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
-    g, h, ids = p["g"], p["h"], p["ids"]
-    prod = lexicographic_product(g, h).graph
+    tid, g, h, ids = p["tid"], p["g"], p["h"], p["ids"]
+    prod, stem = _product(p)
     pairs = [divmod(i, h.order) for i in ids]
-    built = bd.build_lexicographic_tree(g, h, pairs)
-    pred = bd.lex_distance_closed_form(g, h, pairs)
-    inst = f"{_gname(g)}o{_gname(h)} S={_set_str(ids)} built"
-    ok = _valid_tree(prod, built.tree_edges, ids) and built.distance == pred
-    row = _flag(p["tid"], inst, ok, t0)
-    row.lower, row.exact, row.upper = pred, built.distance, pred
+    build = bd.build_cartesian_tree if p["op"].startswith("cart_") else bd.build_lexicographic_tree
+    built = build(g, h, pairs)
+    lo, _, up = SET_RULES[tid](g, h, pairs, built.distance)
+    ok = _valid_tree(prod, built.tree_edges, ids) and lo <= built.distance <= up
+    row = _flag(tid, f"{stem} S={_set_str(ids)} built", ok, t0)
+    row.lower, row.exact, row.upper = lo, built.distance, up
     return [row]
 
 
-def _ev_lex_sdiam(p: dict) -> list[BoundReport]:
-    g, h, ks = p["g"], p["h"], p["ks"]
+def _ev_sdiam(p: dict) -> list[BoundReport]:
+    prod, stem = _product(p)
     out = []
-    for k in ks:
+    for k in p["ks"]:
         t0 = time.perf_counter()
-        exact = steiner_k_diameter(lexicographic_product(g, h).graph, k, witness=False).value
-        lo, up = bd.lex_sdiam_bounds(g, h, k)
-        out.append(_mk(p["tid"], f"{_gname(g)}o{_gname(h)} k={k}", lo, exact, up, t0))
+        exact = steiner_k_diameter(prod, k, witness=False).value
+        lo, up = SDIAM_RULES[p["tid"]](p["g"], p["h"], k)
+        out.append(_mk(p["tid"], f"{stem} k={k}", lo, exact, up, t0))
     return out
-
-
-def _ev_prop35(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    g, h = p["g"], p["h"]
-    pred = bd.sdiam3_lex_closed_form(g, h)
-    exact = steiner_k_diameter(lexicographic_product(g, h).graph, 3, witness=False).value
-    return [_mk(p["tid"], f"{_gname(g)}o{_gname(h)} k=3", pred, exact, pred, t0)]
 
 
 def _ev_remark1(p: dict) -> list[BoundReport]:
@@ -505,6 +410,81 @@ def _ev_example3(p: dict) -> list[BoundReport]:
         exact = steiner_k_diameter(lexicographic_product(gg, hh).graph, kk, witness=False).value
         out.append(_mk(p["tid"], f"K{dims[0]}oK{dims[1]} k={kk}", kk - 1, exact, kk - 1, t0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# product rules of Sections 2-3, one prediction per rule id. The evaluators
+# above serve both products and read these tables by the payload's tid.
+
+
+def _projected(g: Graph, pairs: Sequence[tuple[int, int]], side: int) -> Distance:
+    """Steiner distance in one factor of a product terminal set's projection."""
+    return steiner_distance(g, [q[side] for q in pairs], witness=False).distance
+
+
+def _additive(g: Graph, h: Graph, pairs: Sequence[tuple[int, int]]) -> Distance:
+    return _projected(g, pairs, 0) + _projected(h, pairs, 1)
+
+
+def _around(exact: Distance, lower: Distance, upper: Distance | None = None) -> tuple:
+    """(lower, exact, upper) of a set rule's row; no upper means a closed form."""
+    return lower, exact, lower if upper is None else upper
+
+
+def _lex_pair(g: Graph, h: Graph, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Lemma 3.1: the distance of two vertices of the lexicographic product."""
+    if a[0] != b[0]:
+        pred = distance(g, a[0], b[0])
+    elif g.degree(a[0]) == 0:
+        pred = distance(h, a[1], b[1])
+    else:
+        pred = min(distance(h, a[1], b[1]), 2)
+    return pred, pred
+
+
+def _cor21(g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], exact: Distance) -> tuple:
+    # the all-distinct specialization may never beat the true-parameter bound
+    d_g, d_h = _projected(g, pairs, 0), _projected(h, pairs, 1)
+    k = len(pairs)
+    loose = min(d_g + (k - 2) * d_h, d_h + (k - 2) * d_g)
+    _, tight = bd.cartesian_distance_bounds(g, h, pairs)
+    return exact, tight, loose
+
+
+def _cor23(g: Graph, h: Graph, k: int) -> tuple[Distance, Distance]:
+    """Cor 2.3 is additive at k = 3, the only k its payloads carry."""
+    pred = (steiner_k_diameter(g, 3, witness=False).value
+            + steiner_k_diameter(h, 3, witness=False).value)
+    return pred, pred
+
+
+# rule id -> ((g, h, (ga, ha), (gb, hb)) -> (lower, upper)) for one vertex pair
+PAIR_RULES: dict[str, Callable[..., tuple[Distance, Distance]]] = {
+    "Lemma2.1": lambda g, h, a, b: (distance(g, a[0], b[0]) + distance(h, a[1], b[1]),) * 2,
+    "Lemma3.1": _lex_pair,
+    "Lemma3.2": lambda g, h, a, b: (distance(g, a[0], b[0]), INFINITE),
+}
+
+# rule id -> ((g, h, pairs, exact) -> (lower, middle, upper)) for one terminal
+# set; the middle is the exact product value except in Cor2.1's chain
+SET_RULES: dict[str, Callable[..., tuple[Distance, Distance, Distance]]] = {
+    "Lemma2.2": lambda g, h, pairs, exact: _around(exact, _additive(g, h, pairs), INFINITE),
+    "Thm2.1": lambda g, h, pairs, exact: _around(exact, *bd.cartesian_distance_bounds(g, h, pairs)),
+    "Cor2.1": _cor21,
+    "Cor2.2": lambda g, h, pairs, exact: _around(exact, _additive(g, h, pairs)),
+    "Lemma3.3": lambda g, h, pairs, exact: _around(exact, _projected(g, pairs, 0), INFINITE),
+    "Lemma3.4": lambda g, h, pairs, exact: _around(exact, _projected(g, pairs, 0)),
+    "Prop3.1": lambda g, h, pairs, exact: _around(exact, bd.lex_distance_k3(g, h, pairs)),
+    "Thm3.1": lambda g, h, pairs, exact: _around(exact, bd.lex_distance_closed_form(g, h, pairs)),
+}
+
+# rule id -> ((g, h, k) -> (lower, upper)) for the product's Steiner k-diameter
+SDIAM_RULES: dict[str, Callable[[Graph, Graph, int], tuple[Distance, Distance]]] = {
+    "Cor2.3": _cor23,
+    "Thm2.2": lambda g, h, k: bd.cartesian_sdiam_bounds(g, h, k),
+    "Thm3.2": lambda g, h, k: bd.lex_sdiam_bounds(g, h, k),
+    "Prop3.5": lambda g, h, k: (bd.sdiam3_lex_closed_form(g, h),) * 2,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +626,14 @@ _OPS: dict[str, Callable[[dict], list[BoundReport]]] = {
     "spanning": _ev_spanning,
     "tree_shape": _ev_tree_shape,
     "high_k": _ev_high_k,
-    "cart_pair": _ev_cart_pair,
-    "cart_set": _ev_cart_set,
-    "cart_builder": _ev_cart_builder,
-    "cart_sdiam": _ev_cart_sdiam,
-    "lex_pair": _ev_lex_pair,
-    "lex_set": _ev_lex_set,
-    "lex_builder": _ev_lex_builder,
-    "lex_sdiam": _ev_lex_sdiam,
-    "prop35": _ev_prop35,
+    "cart_pair": _ev_pair,
+    "cart_set": _ev_set,
+    "cart_builder": _ev_builder,
+    "cart_sdiam": _ev_sdiam,
+    "lex_pair": _ev_pair,
+    "lex_set": _ev_set,
+    "lex_builder": _ev_builder,
+    "lex_sdiam": _ev_sdiam,
     "remark1": _ev_remark1,
     "example1": _ev_example1,
     "example2": _ev_example2,
@@ -736,7 +715,7 @@ def _inst_lemma21(c: CorpusSpec) -> list[dict]:
     return out
 
 
-def _cart_set_instances(c: CorpusSpec, salt: int, tid: str, check: str, k_choices: Sequence[int],
+def _cart_set_instances(c: CorpusSpec, salt: int, tid: str, k_choices: Sequence[int],
                         sets_per: int) -> list[dict]:
     rng = _rng(c, salt)
     out = []
@@ -745,33 +724,31 @@ def _cart_set_instances(c: CorpusSpec, salt: int, tid: str, check: str, k_choice
         total = g.order * h.order
         for k in k_choices:
             for ids in _sample_sets(rng, total, k, sets_per):
-                out.append({"op": "cart_set", "tid": tid, "g": g, "h": h,
-                            "ids": list(ids), "check": check})
+                out.append({"op": "cart_set", "tid": tid, "g": g, "h": h, "ids": list(ids)})
     return out
 
 
 def _inst_lemma22(c: CorpusSpec) -> list[dict]:
-    return _cart_set_instances(c, 220, "Lemma2.2", "lower", (3, 4, 5, 6), 3)
+    return _cart_set_instances(c, 220, "Lemma2.2", (3, 4, 5, 6), 3)
 
 
 def _inst_thm21(c: CorpusSpec) -> list[dict]:
     half = max(1, c.sets_per_instance // 2)
-    return _cart_set_instances(c, 230, "Thm2.1", "sandwich", (4, 5), half)
+    return _cart_set_instances(c, 230, "Thm2.1", (4, 5), half) + _inst_builders_cart(c)
 
 
 def _inst_cor21(c: CorpusSpec) -> list[dict]:
-    return _cart_set_instances(c, 240, "Cor2.1", "chain", (4, 5), 3)
+    return _cart_set_instances(c, 240, "Cor2.1", (4, 5), 3)
 
 
 def _inst_cor22(c: CorpusSpec) -> list[dict]:
-    return _cart_set_instances(c, 250, "Cor2.2", "equal_sum", (3,), c.sets_per_instance)
+    return _cart_set_instances(c, 250, "Cor2.2", (3,), c.sets_per_instance)
 
 
 def _inst_cor23(c: CorpusSpec) -> list[dict]:
     out = []
     for g, h in _factor_pairs(c, 260, 20, (3, 5), (3, 5)):
-        out.append({"op": "cart_sdiam", "tid": "Cor2.3", "g": g, "h": h,
-                    "ks": [3], "check": "add3"})
+        out.append({"op": "cart_sdiam", "tid": "Cor2.3", "g": g, "h": h, "ks": [3]})
     return out
 
 
@@ -781,8 +758,7 @@ def _inst_thm22(c: CorpusSpec) -> list[dict]:
     for g, h in pairs:
         total = g.order * h.order
         ks = sorted({k for k in (3, 4, 6, total) if 3 <= k <= total})
-        out.append({"op": "cart_sdiam", "tid": "Thm2.2", "g": g, "h": h,
-                    "ks": ks, "check": "bounds"})
+        out.append({"op": "cart_sdiam", "tid": "Thm2.2", "g": g, "h": h, "ks": ks})
     return out
 
 
@@ -816,20 +792,12 @@ def _inst_lemma31(c: CorpusSpec) -> list[dict]:
         total = n * m
         picks = sorted({tuple(sorted(rng.sample(range(total), 2))) for _ in range(10)})
         for a, b in picks:
-            out.append({"op": "lex_pair", "tid": "Lemma3.1", "g": g, "h": h,
-                        "a": a, "b": b, "check": "formula"})
+            out.append({"op": "lex_pair", "tid": "Lemma3.1", "g": g, "h": h, "a": a, "b": b})
     return out
 
 
 def _inst_lemma32(c: CorpusSpec) -> list[dict]:
-    rows = _inst_lemma31(c)
-    out = []
-    for p in rows:
-        q = dict(p)
-        q["tid"] = "Lemma3.2"
-        q["check"] = "lower"
-        out.append(q)
-    return out
+    return [{**p, "tid": "Lemma3.2"} for p in _inst_lemma31(c)]
 
 
 def _lex_pairs(c: CorpusSpec, salt: int, count: int) -> list[tuple[Graph, Graph]]:
@@ -844,7 +812,7 @@ def _inst_lemma33(c: CorpusSpec) -> list[dict]:
         for k in (3, min(6, total)):
             for ids in _sample_sets(rng, total, k, 2):
                 out.append({"op": "lex_set", "tid": "Lemma3.3", "g": g, "h": h,
-                            "ids": list(ids), "check": "lower"})
+                            "ids": list(ids)})
     return out
 
 
@@ -855,8 +823,7 @@ def _inst_lemma34(c: CorpusSpec) -> list[dict]:
         k = rng.randint(3, min(6, g.order))
         gs = rng.sample(range(g.order), k)
         ids = [gi * h.order + rng.randrange(h.order) for gi in gs]
-        out.append({"op": "lex_set", "tid": "Lemma3.4", "g": g, "h": h,
-                    "ids": sorted(ids), "check": "distinct"})
+        out.append({"op": "lex_set", "tid": "Lemma3.4", "g": g, "h": h, "ids": sorted(ids)})
     return out
 
 
@@ -869,8 +836,8 @@ def _inst_thm31(c: CorpusSpec) -> list[dict]:
         ids = _sample_sets(rng, total, k, 1)
         if ids:
             out.append({"op": "lex_set", "tid": "Thm3.1", "g": g, "h": h,
-                        "ids": list(ids[0]), "check": "closed"})
-    return out
+                        "ids": list(ids[0]), "oracle": True})
+    return out + _inst_builders_lex(c)
 
 
 def _inst_prop31(c: CorpusSpec) -> list[dict]:
@@ -884,8 +851,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         h = random_graph(rng, rng.randint(3, 5), rng.choice(c.densities), f"Hc1.{i}")
         hs = rng.sample(range(h.order), 3)
         ids = sorted(0 * h.order + x for x in hs)
-        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g, "h": h,
-                    "ids": ids, "check": "k3"})
+        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g, "h": h, "ids": ids})
 
         # same copy, base vertex with a neighbor
         g2 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(c.densities), f"con{i}")
@@ -893,7 +859,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         g0 = rng.randrange(g2.order)
         hs = rng.sample(range(h2.order), 3)
         out.append({"op": "lex_set", "tid": "Prop3.1", "g": g2, "h": h2,
-                    "ids": sorted(g0 * h2.order + x for x in hs), "check": "k3"})
+                    "ids": sorted(g0 * h2.order + x for x in hs)})
 
         # two copies in different components
         na, nb = rng.randint(2, 3), rng.randint(2, 3)
@@ -906,8 +872,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         h_pair = rng.sample(range(h3.order), 2)
         ids = sorted([ga * h3.order + rng.randrange(h3.order),
                       gb * h3.order + h_pair[0], gb * h3.order + h_pair[1]])
-        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g3, "h": h3,
-                    "ids": ids, "check": "k3"})
+        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g3, "h": h3, "ids": ids})
 
         # two copies joined by a finite path
         g4 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(c.densities), f"fin{i}")
@@ -916,8 +881,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         h_pair = rng.sample(range(h4.order), 2)
         ids = sorted([ga * h4.order + rng.randrange(h4.order),
                       gb * h4.order + h_pair[0], gb * h4.order + h_pair[1]])
-        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g4, "h": h4,
-                    "ids": ids, "check": "k3"})
+        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g4, "h": h4, "ids": ids})
 
         # three distinct copies
         conn = rng.random() < 0.7
@@ -929,8 +893,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         h5 = random_graph(rng, rng.randint(2, 4), rng.choice(c.densities), f"Hc5.{i}")
         gs = rng.sample(range(n5), 3)
         ids = sorted(gi * h5.order + rng.randrange(h5.order) for gi in gs)
-        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g5, "h": h5,
-                    "ids": ids, "check": "k3"})
+        out.append({"op": "lex_set", "tid": "Prop3.1", "g": g5, "h": h5, "ids": ids})
     return out
 
 
@@ -968,7 +931,7 @@ def _inst_example3(c: CorpusSpec) -> list[dict]:
 def _inst_prop35(c: CorpusSpec) -> list[dict]:
     out = []
     for g, h in _factor_pairs(c, 380, 15, (2, 5), (2, 5)):
-        out.append({"op": "prop35", "tid": "Prop3.5", "g": g, "h": h})
+        out.append({"op": "lex_sdiam", "tid": "Prop3.5", "g": g, "h": h, "ks": [3]})
     named = [
         (("path", (4,)), ("cycle", (3,))),
         (("path", (5,)), ("path", (3,))),
@@ -978,8 +941,8 @@ def _inst_prop35(c: CorpusSpec) -> list[dict]:
         (("star", (5,)), ("path", (2,))),
     ]
     for gs, hs in named:
-        out.append({"op": "prop35", "tid": "Prop3.5",
-                    "g": generate(FamilySpec(*gs)), "h": generate(FamilySpec(*hs))})
+        out.append({"op": "lex_sdiam", "tid": "Prop3.5", "g": generate(FamilySpec(*gs)),
+                    "h": generate(FamilySpec(*hs)), "ks": [3]})
     return out
 
 
@@ -1091,14 +1054,6 @@ def _inst_builders_lex(c: CorpusSpec) -> list[dict]:
     return out
 
 
-def _inst_thm21_all(c: CorpusSpec) -> list[dict]:
-    return _inst_thm21(c) + _inst_builders_cart(c)
-
-
-def _inst_thm31_all(c: CorpusSpec) -> list[dict]:
-    return _inst_thm31(c) + _inst_builders_lex(c)
-
-
 REGISTRY: dict[str, Callable[[CorpusSpec], list[dict]]] = {
     "Obs1.1": _inst_obs11,
     "Obs1.2": _inst_obs12,
@@ -1106,7 +1061,7 @@ REGISTRY: dict[str, Callable[[CorpusSpec], list[dict]]] = {
     "Obs2.1": _inst_obs21,
     "Lemma2.1": _inst_lemma21,
     "Lemma2.2": _inst_lemma22,
-    "Thm2.1": _inst_thm21_all,
+    "Thm2.1": _inst_thm21,
     "Cor2.1": _inst_cor21,
     "Cor2.2": _inst_cor22,
     "Cor2.3": _inst_cor23,
@@ -1118,7 +1073,7 @@ REGISTRY: dict[str, Callable[[CorpusSpec], list[dict]]] = {
     "Lemma3.2": _inst_lemma32,
     "Lemma3.3": _inst_lemma33,
     "Lemma3.4": _inst_lemma34,
-    "Thm3.1": _inst_thm31_all,
+    "Thm3.1": _inst_thm31,
     "Prop3.1": _inst_prop31,
     "Thm3.2": _inst_thm32,
     "Example3": _inst_example3,

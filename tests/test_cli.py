@@ -86,6 +86,29 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     assert "malformed graph JSON" in capsys.readouterr().err
 
 
+MALFORMED_GRAPHS = {
+    "float-order": '{"order": 3.5, "edges": []}',
+    "integral-float-order": '{"order": 3.0, "edges": []}',
+    "string-order": '{"order": "3", "edges": []}',
+    "bool-order": '{"order": true, "edges": []}',
+    "number-edges": '{"order": 3, "edges": 5}',
+    "number-edge": '{"order": 3, "edges": [5]}',
+    "bool-endpoint": '{"order": 3, "edges": [[true, 2]]}',
+    "float-endpoint": '{"order": 3, "edges": [[0, 1.0]]}',
+    "string-endpoint": '{"order": 3, "edges": [["0", 1]]}',
+    "triple-edge": '{"order": 3, "edges": [[0, 1, 2]]}',
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GRAPHS)
+def test_malformed_graph_fields_exit_1(case, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(MALFORMED_GRAPHS[case]))
+    assert main(["steiner", "-g", "-", "-S", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert "malformed graph JSON" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["sdiam", "-g", str(tmp_path / "none.json"), "-k", "3"]) == 1
     assert "error" in capsys.readouterr().err

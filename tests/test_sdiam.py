@@ -2,6 +2,7 @@ import pytest
 
 from steinerk import (
     INFINITE,
+    GuardExceeded,
     Graph,
     steiner_distance,
     steiner_eccentricity,
@@ -86,8 +87,39 @@ def test_jobs_do_not_change_answers():
     assert seq.value == 15  # floor(23 * 2 / 3)
 
 
-def test_spectrum_and_sweep_agree():
-    g = petersen()
-    via_spectrum = steiner_k_diameter(g, 4, witness=False)
-    via_sweep = steiner_k_diameter(g, 4, witness=False, spectrum_limit=0)
-    assert via_spectrum == via_sweep
+SWEEP_CASES = {
+    "petersen": petersen(),
+    "path7": path(7),
+    "star6": star(6),
+    "disconnected": Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_spectrum_and_sweep_agree(name):
+    # spectrum_limit=0 forces the k-set sweep on graphs the table would answer
+    g = SWEEP_CASES[name]
+    for k in range(2, g.order + 1):
+        for v in range(g.order):
+            assert steiner_eccentricity(g, v, k) == steiner_eccentricity(
+                g, v, k, spectrum_limit=0)
+        assert steiner_k_radius(g, k) == steiner_k_radius(g, k, spectrum_limit=0)
+        via_table = steiner_k_diameter(g, k, witness=False)
+        assert via_table == steiner_k_diameter(g, k, witness=False, spectrum_limit=0)
+    via_table = steiner_k_diameter(g, 4, witness=False)
+    assert via_table == steiner_k_diameter(g, 4, witness=False, spectrum_limit=0, jobs=2)
+
+
+def test_sweeps_honour_dp_limit(monkeypatch):
+    # cycle(23) is above the spectrum limit; the guard trips before any set is solved
+    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    g = cycle(23)
+    with pytest.raises(GuardExceeded, match="DP limit 3"):
+        steiner_k_diameter(g, 4, witness=False)
+    with pytest.raises(GuardExceeded, match="DP limit 3"):
+        steiner_k_diameter(g, 4, jobs=2)
+    with pytest.raises(GuardExceeded, match="DP limit 3"):
+        steiner_eccentricity(g, 0, 4)
+    with pytest.raises(GuardExceeded, match="DP limit 3"):
+        steiner_k_radius(g, 4)
+    assert steiner_k_diameter(g, 3, witness=False).value == 15

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +13,13 @@ from steinerk import (
     support,
 )
 from steinerk.families import complete, cycle, path, spider, star
-from steinerk.steiner import _popcounts, lexmin_spanning_tree
+from steinerk.steiner import (
+    _dreyfus_wagner_value,
+    _meet_pair_value,
+    _meet_vertex_value,
+    _popcounts,
+    lexmin_spanning_tree,
+)
 
 from strategies import graph_with_terminals, is_valid_tree
 
@@ -135,17 +143,44 @@ def test_dp_matches_superset_oracle(case):
         assert len(got.tree_edges) == got.distance
 
 
+def _engines(k):
+    """The per-query engines that answer a k-terminal query above the table limit."""
+    return {3: [_meet_vertex_value], 4: [_meet_pair_value]}.get(k, []) + [_dreyfus_wagner_value]
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_with_terminals(min_k=3, max_k=5))
 def test_route_dispatch_agrees(case):
-    # same value whether the spectrum table, small-k meets, or the DP answers
+    # the spectrum table, the dispatch without it, and each engine forced
+    # directly all give the oracle's value
     g, terms = case
-    via_spectrum = steiner_distance(g, terms, witness=False).distance
-    via_small_k = steiner_distance(g, terms, witness=False, spectrum_limit=0).distance
-    via_dp = steiner_distance(
-        g, terms, witness=False, spectrum_limit=0, dp_limit=max(len(terms), 2)
-    ).distance
-    assert via_spectrum == via_small_k == via_dp
+    want = steiner_distance_oracle(g, terms).distance
+    assert steiner_distance(g, terms, witness=False).distance == want
+    assert steiner_distance(g, terms, witness=False, spectrum_limit=0).distance == want
+    for engine in _engines(len(terms)):
+        assert engine(g, terms) == want, engine.__name__
+
+
+def _sparse_connected(rng, n):
+    """A random spanning tree plus extra edges up to mean degree 3."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 3 * n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engines_agree_above_table_limit(seed):
+    # orders 21-24 are above the spectrum limit, where real queries use these engines
+    rng = random.Random(seed)
+    g = _sparse_connected(rng, 21 + seed % 4)
+    for k in (3, 4, 5):
+        terms = sorted(rng.sample(range(g.order), k))
+        want = steiner_distance_oracle(g, terms).distance
+        assert steiner_distance(g, terms, witness=False).distance == want
+        for engine in _engines(k):
+            assert engine(g, terms) == want, engine.__name__
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12])

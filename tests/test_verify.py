@@ -123,6 +123,14 @@ def test_table_skips_oversized_sweeps():
     assert "stated range" in rows[1].reason
 
 
+def test_table_sweep_over_dp_limit_is_skipped(monkeypatch):
+    # torus 3x7 has order 21, so k=4 takes the sweep route, which honours the guard
+    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    rows = closed_form_table(FamilySpec("torus", (3, 7)), [4])
+    assert [r.verdict for r in rows] == ["SKIPPED"]
+    assert rows[0].reason == "terminal support of size 4 exceeds the DP limit 3"
+
+
 def test_table_serialization():
     rows = closed_form_table(FamilySpec("path", (6,)), range(2, 5))
     csv_text = table_to_csv(rows)
