@@ -16,10 +16,12 @@ Canonical labelings:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from . import config
 from .graphs import Graph
 from .products import cartesian_product, lexicographic_product
 
@@ -178,48 +180,54 @@ def spider(*degrees: int) -> Graph:
     return Graph(n, edges, name=f"spider({label})")
 
 
+# family -> (parameter count, None for any; generator)
+_GENERATORS = {
+    "path": (1, path),
+    "cycle": (1, cycle),
+    "complete": (1, complete),
+    "star": (1, star),
+    "hypercube": (1, hypercube),
+    "petersen": (0, petersen),
+    "grid": (2, grid),
+    "mesh": (None, mesh),
+    "torus": (None, torus),
+    "hamming": (None, hamming),
+    "hyper_petersen": (1, hyper_petersen),
+    "hyper_petersen_lex": (1, hyper_petersen_lex),
+    "spider": (None, spider),
+}
+
+
+def _family_order(family: str, params: tuple[int, ...]) -> int:
+    """Order of the graph the generator would build, from its parameters alone.
+    Parameters the generator rejects count as 0, so its own message stands."""
+    if family == "petersen":
+        return 10
+    if family == "spider":
+        return len(params)
+    if family in ("hypercube", "hyper_petersen", "hyper_petersen_lex"):
+        dim = params[0] if family == "hypercube" else params[0] - 3
+        if dim < 0:
+            return 0
+        if dim > 64:  # 2^dim itself may not fit in memory
+            raise config.GuardExceeded(
+                f"{family} {params[0]} has order over 2^64, above the order limit "
+                f"{config.max_order()}"
+            )
+        return (1 if family == "hypercube" else 10) << dim
+    return math.prod(max(p, 0) for p in params)
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a family spec; every generator is deterministic."""
+    """Build the graph described by a family spec; every generator is deterministic.
+
+    The order is checked against the order limit before any generator runs."""
     family = spec.family
     params = tuple(spec.params)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-
-    def arity(expected: int) -> None:
-        if len(params) != expected:
-            raise ValueError(f"{family} takes {expected} parameter(s), got {len(params)}")
-
-    if family == "path":
-        arity(1)
-        return path(params[0])
-    if family == "cycle":
-        arity(1)
-        return cycle(params[0])
-    if family == "complete":
-        arity(1)
-        return complete(params[0])
-    if family == "star":
-        arity(1)
-        return star(params[0])
-    if family == "hypercube":
-        arity(1)
-        return hypercube(params[0])
-    if family == "petersen":
-        arity(0)
-        return petersen()
-    if family == "grid":
-        arity(2)
-        return grid(*params)
-    if family == "mesh":
-        return mesh(*params)
-    if family == "torus":
-        return torus(*params)
-    if family == "hamming":
-        return hamming(*params)
-    if family == "hyper_petersen":
-        arity(1)
-        return hyper_petersen(params[0])
-    if family == "hyper_petersen_lex":
-        arity(1)
-        return hyper_petersen_lex(params[0])
-    return spider(*params)
+    expected, build = _GENERATORS[family]
+    if expected is not None and len(params) != expected:
+        raise ValueError(f"{family} takes {expected} parameter(s), got {len(params)}")
+    config.check_order(_family_order(family, params))
+    return build(*params)

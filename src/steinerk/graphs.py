@@ -6,6 +6,8 @@ import json
 from collections import deque
 from typing import Iterable, Sequence
 
+from . import config
+
 INFINITE = float("inf")
 
 Edge = tuple[int, int]
@@ -246,6 +248,7 @@ def from_json(text: str) -> Graph:
     # JSON true/false parse as bool, a subclass of int, so test the exact type
     if type(order) is not int:
         raise ValueError(f"malformed graph JSON: order must be an integer, got {order!r}")
+    config.check_order(order)
     if not isinstance(edges, list):
         raise ValueError(f"malformed graph JSON: edges must be a list, got {edges!r}")
     for e in edges:

@@ -176,7 +176,9 @@ def _meet_pair_value(g: Graph, sup: Sequence[int]) -> int:
     return best
 
 
-def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
+def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> list[list[int]]:
+    """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
+    a large sentinel where none exists (Dreyfus-Wagner)."""
     n = g.order
     k = len(sup)
     big = 1 << 30
@@ -215,7 +217,11 @@ def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
                     if nd < fm[w]:
                         fm[w] = nd
                         buckets[nd].append(w)
-    return min(f[full])
+    return f
+
+
+def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
+    return min(_dreyfus_wagner_table(g, sup)[-1])
 
 
 def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None = None) -> Distance:
@@ -247,6 +253,39 @@ def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None =
 # ---------------------------------------------------------------------------
 # witness extraction
 
+def _optimal_edges(
+    g: Graph, sup: Sequence[int], value: int, spectrum_limit: int | None = None
+) -> list[tuple[int, int]]:
+    """Edges of g that lie on some minimum Steiner tree for sup, ascending.
+
+    With f[A][v] the smallest tree spanning the terminals A and v, edge (u, w)
+    lies on a minimum tree iff f[A][u] + 1 + f[S-A][w] == value for some split
+    A of S: every leaf of a minimum tree is a terminal, so cutting (u, w) leaves
+    two terminal-holding subtrees, and any split with that sum joins two trees
+    into a minimum one through (u, w). Row a of the split array is the subset
+    {sup[i] : bit i of a}, so S-A is row full - a, the reversed row order.
+    """
+    if g.order <= config.spectrum_limit(spectrum_limit):
+        # read the superset table: f[A][v] = best[mask(A) | 1 << v] - 1
+        masks = np.zeros(1, dtype=np.int64)
+        for t in sup:
+            masks = np.concatenate((masks, masks | (1 << t)))
+        vbits = 1 << np.arange(g.order, dtype=np.int64)
+        f = _superset_table(g)[masks[:, None] | vbits[None, :]].astype(np.int32) - 1
+    else:
+        f = np.array(_dreyfus_wagner_table(g, sup), dtype=np.int32)
+    # entries of value or more never meet the sum; capping them keeps it small
+    np.minimum(f, value, out=f)
+    rev = f[::-1]
+    u = np.array([e[0] for e in g.edges], dtype=np.int64)
+    w = np.array([e[1] for e in g.edges], dtype=np.int64)
+    hit = np.zeros(len(g.edges), dtype=bool)
+    rows = max(1, (1 << 18) // max(1, len(g.edges)))  # bounds the temporaries
+    for lo in range(0, len(f), rows):
+        hit |= (f[lo:lo + rows, u] + rev[lo:lo + rows, w] == value - 1).any(axis=0)
+    return [e for e, keep in zip(g.edges, hit.tolist()) if keep]
+
+
 def _contracted_value(
     g: Graph,
     terminals: Sequence[int],
@@ -257,35 +296,35 @@ def _contracted_value(
     dsu = _DSU(range(g.order))
     for u, v in forced:
         dsu.union(u, v)
-    comp_ids: dict[int, int] = {}
-    labels = [0] * g.order
-    for v in range(g.order):
-        root = dsu.find(v)
-        if root not in comp_ids:
-            comp_ids[root] = len(comp_ids)
-        labels[v] = comp_ids[root]
-    edges = set()
+    need_roots = {dsu.find(t) for t in terminals}
+    need_roots.update(dsu.find(u) for u, _ in forced)
+    if len(need_roots) == 1:
+        return 0
+    root_edges = set()
     for e in g.edges:
         if e in excluded:
             continue
-        cu, cv = labels[e[0]], labels[e[1]]
-        if cu != cv:
-            edges.add((cu, cv) if cu < cv else (cv, cu))
-    contracted = Graph(len(comp_ids), edges)
-    need = {labels[t] for t in terminals}
-    for u, v in forced:
-        need.add(labels[u])
-    need_t = tuple(sorted(need))
-    if len(need_t) == 1:
-        return 0
+        ru, rv = dsu.find(e[0]), dsu.find(e[1])
+        if ru != rv:
+            root_edges.add((ru, rv) if ru < rv else (rv, ru))
+    # components without a terminal, a forced edge or a usable edge are isolated
+    # in the contracted graph and cannot carry the tree, so they are left out
+    roots = need_roots.union(*root_edges)
+    labels = {r: i for i, r in enumerate(sorted(roots))}
+    contracted = Graph(len(labels), [(labels[a], labels[b]) for a, b in root_edges])
+    need_t = tuple(sorted(labels[r] for r in need_roots))
     comp = component_of(contracted, need_t[0])
     if any(t not in comp for t in need_t):
         return INFINITE
-    # throwaway contracted graphs: keep their spectrum tables small
-    return _steiner_value(contracted, need_t, spectrum_override=16)
+    # a one-off 2^order table pays only where it is no dearer than the
+    # 3^|need| subset DP; otherwise the meet-point and DP routes answer
+    fits = contracted.order <= 16 and 1 << contracted.order <= 3 ** len(need_t)
+    return _steiner_value(contracted, need_t, spectrum_override=16 if fits else 0)
 
 
-def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
+def _lexmin_witness(
+    g: Graph, sup: Sequence[int], value: Distance, spectrum_limit: int | None = None
+) -> list[tuple[int, int]]:
     """Minimum Steiner tree for sup with the lexicographically smallest edge list."""
     if value == INFINITE or value == 0:
         return []
@@ -306,11 +345,14 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
         assert best is not None
         return best
     # general case: greedy over ascending edges; keep an edge whenever a tree of
-    # the optimal size through the kept forest still exists without skipped edges
+    # the optimal size through the kept forest still exists without skipped
+    # edges. An edge on no minimum tree would fail its trial, and every trial
+    # has the same outcome without such edges, so only the others are tried.
+    candidates = _optimal_edges(g, sup, value, spectrum_limit)
     chosen: list[tuple[int, int]] = []
-    excluded: set[tuple[int, int]] = set()
+    excluded = set(g.edges).difference(candidates)
     dsu = _DSU(range(g.order))
-    for e in g.edges:
+    for e in candidates:
         if len(chosen) == value:
             break
         if dsu.find(e[0]) == dsu.find(e[1]):
@@ -353,7 +395,7 @@ def steiner_distance(
     value = _steiner_value(g, sup, spectrum_limit)
     if value != INFINITE:
         value = int(value)
-    tree = _lexmin_witness(g, sup, value) if witness else []
+    tree = _lexmin_witness(g, sup, value, spectrum_limit) if witness else []
     return SteinerResult(value, tuple(tree))
 
 

@@ -109,6 +109,39 @@ def test_malformed_graph_fields_exit_1(case, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _no_graph_built(*args, **kwargs):
+    raise AssertionError("a graph over the order limit was built")
+
+
+def test_huge_order_exits_1_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(steinerk.graphs, "Graph", _no_graph_built)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"order": 1000000000, "edges": []}'))
+    assert main(["steiner", "-g", "-", "-S", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert "graph order 1000000000 exceeds the order limit 4096" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [["hypercube", "1000000000"], ["hypercube", "13"],
+                                    ["grid", "100000", "100000"], ["hyper_petersen", "13"]])
+def test_gen_over_order_limit_exits_1(params, monkeypatch, capsys):
+    # the order comes from the parameters, before any generator runs
+    monkeypatch.setattr(steinerk.families, "cartesian_product", _no_graph_built)
+    monkeypatch.setattr(steinerk.families, "Graph", _no_graph_built)
+    assert main(["gen", *params]) == 1
+    err = capsys.readouterr().err
+    assert "order limit 4096" in err and "Traceback" not in err
+
+
+def test_order_limit_env_override(monkeypatch, capsys):
+    monkeypatch.setenv("STEINERK_MAX_ORDER", "8")
+    assert main(["gen", "cycle", "9"]) == 1
+    assert "order limit 8" in capsys.readouterr().err
+    assert main(["gen", "cycle", "8"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["sdiam", "-g", "-", "-k", "3"]) == 0
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["sdiam", "-g", str(tmp_path / "none.json"), "-k", "3"]) == 1
     assert "error" in capsys.readouterr().err
