@@ -7,12 +7,11 @@ import os
 DP_LIMIT_ENV = "STEINERK_DP_LIMIT"
 ORACLE_GUARD_ENV = "STEINERK_ORACLE_GUARD"
 SPECTRUM_LIMIT_ENV = "STEINERK_SPECTRUM_LIMIT"
-MAX_ORDER_ENV = "STEINERK_MAX_ORDER"
 
 DEFAULT_DP_LIMIT = 16  # max terminal-set support size for the subset DP
 DEFAULT_ORACLE_GUARD = 22  # max (order - support size) for superset enumeration
 DEFAULT_SPECTRUM_LIMIT = 20  # max order for the whole-subset-lattice engine
-DEFAULT_MAX_ORDER = 4096  # max graph order read or generated; an int64 APSP matrix is 128 MB
+MAX_ORDER = 4096  # max graph order read or generated; an int64 APSP matrix is 128 MB
 
 
 class GuardExceeded(RuntimeError):
@@ -48,12 +47,7 @@ def spectrum_limit(override: int | None = None) -> int:
     return override if override is not None else _env_int(SPECTRUM_LIMIT_ENV, DEFAULT_SPECTRUM_LIMIT)
 
 
-def max_order() -> int:
-    return _env_int(MAX_ORDER_ENV, DEFAULT_MAX_ORDER)
-
-
 def check_order(order: int) -> None:
     """Raise GuardExceeded before a graph of this order is built, if it is over the limit."""
-    limit = max_order()
-    if order > limit:
-        raise GuardExceeded(f"graph order {order} exceeds the order limit {limit}")
+    if order > MAX_ORDER:
+        raise GuardExceeded(f"graph order {order} exceeds the order limit {MAX_ORDER}")

@@ -209,12 +209,8 @@ def _family_order(family: str, params: tuple[int, ...]) -> int:
         dim = params[0] if family == "hypercube" else params[0] - 3
         if dim < 0:
             return 0
-        if dim > 64:  # 2^dim itself may not fit in memory
-            raise config.GuardExceeded(
-                f"{family} {params[0]} has order over 2^64, above the order limit "
-                f"{config.max_order()}"
-            )
-        return (1 if family == "hypercube" else 10) << dim
+        # past 2^64 the exact order is irrelevant, and computing it may not fit in memory
+        return (1 if family == "hypercube" else 10) << min(dim, 64)
     return math.prod(max(p, 0) for p in params)
 
 

@@ -253,6 +253,9 @@ def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None =
 # ---------------------------------------------------------------------------
 # witness extraction
 
+_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one _optimal_edges chunk
+
+
 def _optimal_edges(
     g: Graph, sup: Sequence[int], value: int, spectrum_limit: int | None = None
 ) -> list[tuple[int, int]]:
@@ -265,24 +268,34 @@ def _optimal_edges(
     into a minimum one through (u, w). Row a of the split array is the subset
     {sup[i] : bit i of a}, so S-A is row full - a, the reversed row order.
     """
-    if g.order <= config.spectrum_limit(spectrum_limit):
-        # read the superset table: f[A][v] = best[mask(A) | 1 << v] - 1
+    full = (1 << len(sup)) - 1
+    if len(sup) > 2 and g.order <= config.spectrum_limit(spectrum_limit):
+        # the value came from the superset table (k = 2 never builds one):
+        # f[A][v] = best[mask(A) | 1 << v] - 1
         masks = np.zeros(1, dtype=np.int64)
         for t in sup:
             masks = np.concatenate((masks, masks | (1 << t)))
         vbits = 1 << np.arange(g.order, dtype=np.int64)
-        f = _superset_table(g)[masks[:, None] | vbits[None, :]].astype(np.int32) - 1
+        table = _superset_table(g)
+
+        def split_rows(idx: np.ndarray) -> np.ndarray:
+            return table[masks[idx, None] | vbits].astype(np.int32) - 1
     else:
-        f = np.array(_dreyfus_wagner_table(g, sup), dtype=np.int32)
-    # entries of value or more never meet the sum; capping them keeps it small
-    np.minimum(f, value, out=f)
-    rev = f[::-1]
+        dw = _dreyfus_wagner_table(g, sup)
+
+        def split_rows(idx: np.ndarray) -> np.ndarray:
+            return np.array([dw[a] for a in idx.tolist()], dtype=np.int64)
+
     u = np.array([e[0] for e in g.edges], dtype=np.int64)
     w = np.array([e[1] for e in g.edges], dtype=np.int64)
     hit = np.zeros(len(g.edges), dtype=bool)
-    rows = max(1, (1 << 18) // max(1, len(g.edges)))  # bounds the temporaries
-    for lo in range(0, len(f), rows):
-        hit |= (f[lo:lo + rows, u] + rev[lo:lo + rows, w] == value - 1).any(axis=0)
+    step = max(1, _SPLIT_CHUNK_ENTRIES // max(1, g.order, len(g.edges)))
+    for lo in range(0, full + 1, step):
+        idx = np.arange(lo, min(lo + step, full + 1))
+        # entries of value or more never meet the sum; capping them keeps it small
+        f = np.minimum(split_rows(idx), value)
+        rev = np.minimum(split_rows(full - idx), value)
+        hit |= (f[:, u] + rev[:, w] == value - 1).any(axis=0)
     return [e for e, keep in zip(g.edges, hit.tolist()) if keep]
 
 

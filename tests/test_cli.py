@@ -113,30 +113,34 @@ def _no_graph_built(*args, **kwargs):
     raise AssertionError("a graph over the order limit was built")
 
 
-def test_huge_order_exits_1_before_building(monkeypatch, capsys):
+@pytest.mark.parametrize("limit, order", [(4096, 1000000000), (8, 9)])
+def test_huge_order_exits_1_before_building(limit, order, monkeypatch, capsys):
+    monkeypatch.setattr(steinerk.config, "MAX_ORDER", limit)
     monkeypatch.setattr(steinerk.graphs, "Graph", _no_graph_built)
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"order": 1000000000, "edges": []}'))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"order": order, "edges": []})))
     assert main(["steiner", "-g", "-", "-S", "0,1"]) == 1
     err = capsys.readouterr().err
-    assert "graph order 1000000000 exceeds the order limit 4096" in err
+    assert f"graph order {order} exceeds the order limit {limit}" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("params", [["hypercube", "1000000000"], ["hypercube", "13"],
-                                    ["grid", "100000", "100000"], ["hyper_petersen", "13"]])
-def test_gen_over_order_limit_exits_1(params, monkeypatch, capsys):
+@pytest.mark.parametrize("limit, params", [
+    (4096, ["hypercube", "1000000000"]), (4096, ["hypercube", "13"]),
+    (4096, ["grid", "100000", "100000"]), (4096, ["hyper_petersen", "13"]),
+    (8, ["cycle", "9"]),
+])
+def test_gen_over_order_limit_exits_1(limit, params, monkeypatch, capsys):
     # the order comes from the parameters, before any generator runs
+    monkeypatch.setattr(steinerk.config, "MAX_ORDER", limit)
     monkeypatch.setattr(steinerk.families, "cartesian_product", _no_graph_built)
     monkeypatch.setattr(steinerk.families, "Graph", _no_graph_built)
     assert main(["gen", *params]) == 1
     err = capsys.readouterr().err
-    assert "order limit 4096" in err and "Traceback" not in err
+    assert f"order limit {limit}" in err and "Traceback" not in err
 
 
-def test_order_limit_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("STEINERK_MAX_ORDER", "8")
-    assert main(["gen", "cycle", "9"]) == 1
-    assert "order limit 8" in capsys.readouterr().err
+def test_order_at_limit_is_accepted(monkeypatch, capsys):
+    monkeypatch.setattr(steinerk.config, "MAX_ORDER", 8)
     assert main(["gen", "cycle", "8"]) == 0
     monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
     assert main(["sdiam", "-g", "-", "-k", "3"]) == 0

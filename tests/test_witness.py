@@ -9,8 +9,10 @@ from functools import lru_cache
 
 import pytest
 
+import steinerk.steiner
 from steinerk import Graph, steiner_distance, steiner_distance_oracle
-from steinerk.steiner import _optimal_edges
+from steinerk.families import path
+from steinerk.steiner import _optimal_edges, _superset_table
 
 from strategies import is_valid_tree
 
@@ -69,7 +71,12 @@ def test_witness_is_lexmin_minimum_tree():
 
 
 @pytest.mark.parametrize("spectrum_limit", [None, 0])
-def test_optimal_edges_are_union_of_minimum_trees(spectrum_limit):
+@pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "small_chunks"])
+def test_optimal_edges_are_union_of_minimum_trees(spectrum_limit, chunk, monkeypatch):
+    # 64-entry chunks split every split array of these graphs into several
+    # row chunks, the last one ragged
+    if chunk is not None:
+        monkeypatch.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
     for seed, g, terms, value, trees in _brute_force_cases():
         union = {e for tree in trees for e in tree}
         got = _optimal_edges(g, terms, value, spectrum_limit)
@@ -101,6 +108,17 @@ def test_witness_route_agreement():
         assert is_valid_tree(g, table.tree_edges, terms)
         general += table.distance > len(terms)
     assert general >= 5
+
+
+def test_two_terminal_witness_builds_no_table():
+    # k = 2 answers by BFS, so its witness builds no superset table either.
+    # Two shortest 3-15 paths tie at 12 edges; the one through 0 is lexmin.
+    g = Graph(20, set(path(20).edges) | {(0, 7)})
+    misses = _superset_table.cache_info().misses
+    res = steiner_distance(g, [3, 15])
+    via_0 = [(0, 1), (1, 2), (2, 3), (0, 7)] + [(v, v + 1) for v in range(7, 15)]
+    assert res == (12, tuple(sorted(via_0)))
+    assert _superset_table.cache_info().misses == misses
 
 
 def test_sparse_order_20_witness_above_k():
