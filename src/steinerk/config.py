@@ -1,4 +1,4 @@
-"""Solver guard limits, overridable per call or via environment variables."""
+"""Solver guard limits: two overridable per call or by environment variable, the rest constants."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import os
 
 DP_LIMIT_ENV = "STEINERK_DP_LIMIT"
 ORACLE_GUARD_ENV = "STEINERK_ORACLE_GUARD"
-SPECTRUM_LIMIT_ENV = "STEINERK_SPECTRUM_LIMIT"
 
 DEFAULT_DP_LIMIT = 16  # max terminal-set support size for the subset DP
 DEFAULT_ORACLE_GUARD = 22  # max (order - support size) for superset enumeration
-DEFAULT_SPECTRUM_LIMIT = 20  # max order for the whole-subset-lattice engine
+SPECTRUM_LIMIT = 20  # max order for the whole-subset-lattice engine
 MAX_ORDER = 4096  # max graph order read or generated; an int64 APSP matrix is 128 MB
 
 
@@ -43,8 +42,8 @@ def oracle_guard(override: int | None = None) -> int:
     return override if override is not None else _env_int(ORACLE_GUARD_ENV, DEFAULT_ORACLE_GUARD)
 
 
-def spectrum_limit(override: int | None = None) -> int:
-    return override if override is not None else _env_int(SPECTRUM_LIMIT_ENV, DEFAULT_SPECTRUM_LIMIT)
+def spectrum_limit() -> int:
+    return SPECTRUM_LIMIT
 
 
 def check_order(order: int) -> None:

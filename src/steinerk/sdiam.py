@@ -115,7 +115,7 @@ def _sweep_values(
         if any(labels[t] != root for t in terms[1:]):
             yield INFINITE, mask
             return
-        yield _steiner_value(g, terms), mask
+        yield _steiner_value(g, terms, None), mask  # sweeps run above the table limit
 
 
 def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distance, int]:
@@ -148,22 +148,20 @@ def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
     return value, -neg_mask
 
 
-def steiner_eccentricity(
-    g: Graph, v: int, k: int, *, spectrum_limit: int | None = None
-) -> Distance:
+def steiner_eccentricity(g: Graph, v: int, k: int) -> Distance:
     """Maximum Steiner distance over k-sets containing v."""
     check_vertex(g, v)
     _check_k(g, k)
-    if g.order <= config.spectrum_limit(spectrum_limit):
+    if g.order <= config.SPECTRUM_LIMIT:
         return _spectrum_extreme(g, k, v)[0]
     config.check_dp_limit(k)
     return max(value for value, _ in _sweep_values(g, k, require=v))
 
 
-def steiner_k_radius(g: Graph, k: int, *, spectrum_limit: int | None = None) -> Distance:
+def steiner_k_radius(g: Graph, k: int) -> Distance:
     """Minimum Steiner k-eccentricity over all vertices."""
     _check_k(g, k)
-    if g.order <= config.spectrum_limit(spectrum_limit):
+    if g.order <= config.SPECTRUM_LIMIT:
         return min(_spectrum_extreme(g, k, v)[0] for v in range(g.order))
     config.check_dp_limit(k)
     # once a k-set spans two components, so does one through every vertex
@@ -177,17 +175,12 @@ def steiner_k_radius(g: Graph, k: int, *, spectrum_limit: int | None = None) -> 
 
 
 def steiner_k_diameter(
-    g: Graph,
-    k: int,
-    *,
-    jobs: int | None = 1,
-    witness: bool = True,
-    spectrum_limit: int | None = None,
+    g: Graph, k: int, *, jobs: int | None = 1, witness: bool = True
 ) -> SdiamResult:
     """Maximum Steiner distance over all k-subsets, with the smallest attaining
     subset (by bitmask) and its witness tree."""
     _check_k(g, k)
-    if g.order <= config.spectrum_limit(spectrum_limit):
+    if g.order <= config.SPECTRUM_LIMIT:
         value, mask = _spectrum_extreme(g, k, None)
     else:
         config.check_dp_limit(k)

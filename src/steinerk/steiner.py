@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,12 +220,26 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> list[list[int]]:
     return f
 
 
+@lru_cache(maxsize=1)
+def _query_dw_table(g: Graph, sup: tuple[int, ...]) -> list[list[int]]:
+    """One build serves a query's value and then its witness; one slot keeps one table alive."""
+    return _dreyfus_wagner_table(g, sup)
+
+
 def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
-    return min(_dreyfus_wagner_table(g, sup)[-1])
+    return min(_query_dw_table(g, tuple(sup))[-1])
 
 
-def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None = None) -> Distance:
-    """Exact Steiner distance of a support set already known to share a component."""
+def _reads_table(g: Graph, k: int) -> bool:
+    """Whether a k-terminal query's value and witness both read g's superset table."""
+    return k > 2 and g.order <= config.SPECTRUM_LIMIT
+
+
+def _steiner_value(
+    g: Graph, sup: Sequence[int], table: Callable[[Graph], np.ndarray] | None
+) -> Distance:
+    """Exact Steiner distance of a support set already known to share a component;
+    table gets g's superset table, or is None for the meet-point and DP routes."""
     k = len(sup)
     if k == 1:
         return 0
@@ -236,12 +250,11 @@ def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None =
         return k - 1
     if _one_extra_connects(g, sup):
         return k
-    if g.order <= config.spectrum_limit(spectrum_override):
-        table = _superset_table(g)
+    if table is not None:
         mask = 0
         for v in sup:
             mask |= 1 << v
-        best = int(table[mask])
+        best = int(table(g)[mask])
         return INFINITE if best == 255 else best - 1
     if k == 3:
         return _meet_vertex_value(g, sup)
@@ -256,9 +269,7 @@ def _steiner_value(g: Graph, sup: Sequence[int], spectrum_override: int | None =
 _SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one _optimal_edges chunk
 
 
-def _optimal_edges(
-    g: Graph, sup: Sequence[int], value: int, spectrum_limit: int | None = None
-) -> list[tuple[int, int]]:
+def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
     """Edges of g that lie on some minimum Steiner tree for sup, ascending.
 
     With f[A][v] the smallest tree spanning the terminals A and v, edge (u, w)
@@ -269,8 +280,7 @@ def _optimal_edges(
     {sup[i] : bit i of a}, so S-A is row full - a, the reversed row order.
     """
     full = (1 << len(sup)) - 1
-    if len(sup) > 2 and g.order <= config.spectrum_limit(spectrum_limit):
-        # the value came from the superset table (k = 2 never builds one):
+    if _reads_table(g, len(sup)):
         # f[A][v] = best[mask(A) | 1 << v] - 1
         masks = np.zeros(1, dtype=np.int64)
         for t in sup:
@@ -281,7 +291,7 @@ def _optimal_edges(
         def split_rows(idx: np.ndarray) -> np.ndarray:
             return table[masks[idx, None] | vbits].astype(np.int32) - 1
     else:
-        dw = _dreyfus_wagner_table(g, sup)
+        dw = _query_dw_table(g, tuple(sup))
 
         def split_rows(idx: np.ndarray) -> np.ndarray:
             return np.array([dw[a] for a in idx.tolist()], dtype=np.int64)
@@ -330,14 +340,12 @@ def _contracted_value(
     if any(t not in comp for t in need_t):
         return INFINITE
     # a one-off 2^order table pays only where it is no dearer than the
-    # 3^|need| subset DP; otherwise the meet-point and DP routes answer
+    # 3^|need| subset DP; it is read once, so it stays out of the shared cache
     fits = contracted.order <= 16 and 1 << contracted.order <= 3 ** len(need_t)
-    return _steiner_value(contracted, need_t, spectrum_override=16 if fits else 0)
+    return _steiner_value(contracted, need_t, _superset_table.__wrapped__ if fits else None)
 
 
-def _lexmin_witness(
-    g: Graph, sup: Sequence[int], value: Distance, spectrum_limit: int | None = None
-) -> list[tuple[int, int]]:
+def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
     """Minimum Steiner tree for sup with the lexicographically smallest edge list."""
     if value == INFINITE or value == 0:
         return []
@@ -361,7 +369,7 @@ def _lexmin_witness(
     # the optimal size through the kept forest still exists without skipped
     # edges. An edge on no minimum tree would fail its trial, and every trial
     # has the same outcome without such edges, so only the others are tried.
-    candidates = _optimal_edges(g, sup, value, spectrum_limit)
+    candidates = _optimal_edges(g, sup, value)
     chosen: list[tuple[int, int]] = []
     excluded = set(g.edges).difference(candidates)
     dsu = _DSU(range(g.order))
@@ -390,7 +398,6 @@ def steiner_distance(
     *,
     witness: bool = True,
     dp_limit: int | None = None,
-    spectrum_limit: int | None = None,
 ) -> SteinerResult:
     """Minimum edge count of a connected subgraph of g containing the terminal support.
 
@@ -405,10 +412,10 @@ def steiner_distance(
     comp = component_of(g, sup[0])
     if any(t not in comp for t in sup):
         return SteinerResult(INFINITE, ())
-    value = _steiner_value(g, sup, spectrum_limit)
+    value = _steiner_value(g, sup, _superset_table if _reads_table(g, len(sup)) else None)
     if value != INFINITE:
         value = int(value)
-    tree = _lexmin_witness(g, sup, value, spectrum_limit) if witness else []
+    tree = _lexmin_witness(g, sup, value) if witness else []
     return SteinerResult(value, tuple(tree))
 
 

@@ -1,10 +1,19 @@
-"""Shared hypothesis strategies for graph-valued properties, and a witness-tree
+"""Shared hypothesis strategies for graph-valued properties, a witness-tree
 checker that is independent of the package's own, so the tests never judge the
-program with its own checker."""
+program with its own checker, and a helper that forces the off-table routes."""
 
+import pytest
 from hypothesis import strategies as st
 
-from steinerk import Graph
+from steinerk import Graph, config
+
+
+def off_table(fn, *args, **kwargs):
+    """fn's answer with config.SPECTRUM_LIMIT at 0, so that no query reads a
+    superset table: d_G(S) takes the meet-point and DP routes, sdiam the sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "SPECTRUM_LIMIT", 0)
+        return fn(*args, **kwargs)
 
 
 @st.composite

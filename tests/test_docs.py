@@ -1,0 +1,24 @@
+"""README's Guards table against the settable limits in steinerk.config."""
+
+import re
+from pathlib import Path
+
+from steinerk import config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _guards_rows():
+    """(variable, default) of every row in README's Guards table."""
+    section = README.read_text().split("\n## Guards\n", 1)[1].split("\n## ", 1)[0]
+    return {(m[1], m[2]) for m in re.finditer(r"^\| `(\w+)` \| (\S+) \|", section, re.M)}
+
+
+def test_guards_table_lists_every_env_override():
+    want = {
+        (getattr(config, name), str(getattr(config, "DEFAULT_" + name[: -len("_ENV")])))
+        for name in dir(config)
+        if name.endswith("_ENV")
+    }
+    assert want  # the table is checked against something
+    assert _guards_rows() == want

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import steinerk.steiner
 from steinerk import (
     GuardExceeded,
     INFINITE,
@@ -21,7 +22,7 @@ from steinerk.steiner import (
     lexmin_spanning_tree,
 )
 
-from strategies import graph_with_terminals, is_valid_tree
+from strategies import graph_with_terminals, is_valid_tree, off_table
 
 
 def test_support_collapses_multisets():
@@ -121,7 +122,7 @@ def test_guard_env_override(monkeypatch):
 def test_dp_limit_argument_override():
     # spectrum handles order <= 20; pushing both limits down forces the guard
     with pytest.raises(GuardExceeded):
-        steiner_distance(path(12), [0, 3, 7, 11], dp_limit=3, spectrum_limit=4)
+        off_table(steiner_distance, path(12), [0, 3, 7, 11], dp_limit=3)
 
 
 def test_lexmin_spanning_tree_on_subset():
@@ -156,7 +157,7 @@ def test_route_dispatch_agrees(case):
     g, terms = case
     want = steiner_distance_oracle(g, terms).distance
     assert steiner_distance(g, terms, witness=False).distance == want
-    assert steiner_distance(g, terms, witness=False, spectrum_limit=0).distance == want
+    assert off_table(steiner_distance, g, terms, witness=False).distance == want
     for engine in _engines(len(terms)):
         assert engine(g, terms) == want, engine.__name__
 
@@ -181,6 +182,25 @@ def test_engines_agree_above_table_limit(seed):
         assert steiner_distance(g, terms, witness=False).distance == want
         for engine in _engines(k):
             assert engine(g, terms) == want, engine.__name__
+
+
+def test_dp_route_builds_one_table(monkeypatch):
+    # above the table limit a 6-terminal value comes from Dreyfus-Wagner, and
+    # the witness's split arrays read that same table instead of a second build
+    g = _sparse_connected(random.Random(0), 30)
+    terms = sorted(random.Random(1).sample(range(30), 6))
+    full_builds = []
+    build = steinerk.steiner._dreyfus_wagner_table
+
+    def counting(h, sup):
+        full_builds.append(h is g)
+        return build(h, sup)
+
+    monkeypatch.setattr(steinerk.steiner, "_dreyfus_wagner_table", counting)
+    res = steiner_distance(g, terms)
+    assert res.distance > len(terms)
+    assert is_valid_tree(g, res.tree_edges, terms)
+    assert sum(full_builds) == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12])

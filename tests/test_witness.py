@@ -10,11 +10,11 @@ from functools import lru_cache
 import pytest
 
 import steinerk.steiner
-from steinerk import Graph, steiner_distance, steiner_distance_oracle
+from steinerk import Graph, config, steiner_distance, steiner_distance_oracle
 from steinerk.families import path
 from steinerk.steiner import _optimal_edges, _superset_table
 
-from strategies import is_valid_tree
+from strategies import is_valid_tree, off_table
 
 
 def _random_connected(rng, n, p):
@@ -70,16 +70,19 @@ def test_witness_is_lexmin_minimum_tree():
     assert general >= 100
 
 
-@pytest.mark.parametrize("spectrum_limit", [None, 0])
+@pytest.mark.parametrize("limit", [None, 0])
 @pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "small_chunks"])
-def test_optimal_edges_are_union_of_minimum_trees(spectrum_limit, chunk, monkeypatch):
-    # 64-entry chunks split every split array of these graphs into several
-    # row chunks, the last one ragged
+def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
+    # a spectrum limit of 0 takes the split arrays from Dreyfus-Wagner instead
+    # of the superset table; 64-entry chunks split every split array of these
+    # graphs into several row chunks, the last one ragged
+    if limit is not None:
+        monkeypatch.setattr(config, "SPECTRUM_LIMIT", limit)
     if chunk is not None:
         monkeypatch.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
     for seed, g, terms, value, trees in _brute_force_cases():
         union = {e for tree in trees for e in tree}
-        got = _optimal_edges(g, terms, value, spectrum_limit)
+        got = _optimal_edges(g, terms, value)
         assert set(got) == union, (seed, terms)
 
 
@@ -98,12 +101,12 @@ def _route_cases():
 
 
 def test_witness_route_agreement():
-    # the default route reads split arrays off the superset table; with
-    # spectrum_limit=0 they come from Dreyfus-Wagner, and the tree must not move
+    # the default route reads split arrays off the superset table; off it
+    # they come from Dreyfus-Wagner, and the tree must not move
     general = 0
     for g, terms in _route_cases():
         table = steiner_distance(g, terms)
-        dp = steiner_distance(g, terms, spectrum_limit=0)
+        dp = off_table(steiner_distance, g, terms)
         assert table == dp, (g.order, terms)
         assert is_valid_tree(g, table.tree_edges, terms)
         general += table.distance > len(terms)
@@ -119,6 +122,19 @@ def test_two_terminal_witness_builds_no_table():
     via_0 = [(0, 1), (1, 2), (2, 3), (0, 7)] + [(v, v + 1) for v in range(7, 15)]
     assert res == (12, tuple(sorted(via_0)))
     assert _superset_table.cache_info().misses == misses
+
+
+def test_contracted_tables_stay_out_of_cache():
+    # the greedy's contracted re-solves build two one-off tables here; each is
+    # read once, so only the query's own table goes through the shared cache
+    rng = random.Random(0)
+    g = Graph(13, {(rng.randrange(v), v) for v in range(1, 13)} | {(2, 9), (4, 11)})
+    terms = [0, 3, 6, 8, 12]
+    misses = _superset_table.cache_info().misses
+    res = steiner_distance(g, terms)
+    assert res.distance > len(terms)
+    assert is_valid_tree(g, res.tree_edges, terms)
+    assert _superset_table.cache_info().misses == misses + 1
 
 
 def test_sparse_order_20_witness_above_k():
