@@ -1,4 +1,4 @@
-"""Solver guard limits: two overridable per call or by environment variable, the rest constants."""
+"""Solver guard limits: two overridable by environment variable, the rest constants."""
 
 from __future__ import annotations
 
@@ -27,19 +27,19 @@ def _env_int(name: str, fallback: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def dp_limit(override: int | None = None) -> int:
-    return override if override is not None else _env_int(DP_LIMIT_ENV, DEFAULT_DP_LIMIT)
+def dp_limit() -> int:
+    return _env_int(DP_LIMIT_ENV, DEFAULT_DP_LIMIT)
 
 
-def check_dp_limit(size: int, override: int | None = None) -> None:
+def check_dp_limit(size: int) -> None:
     """Raise GuardExceeded if terminal sets of this size are over the DP limit."""
-    limit = dp_limit(override)
+    limit = dp_limit()
     if size > limit:
         raise GuardExceeded(f"terminal support of size {size} exceeds the DP limit {limit}")
 
 
-def oracle_guard(override: int | None = None) -> int:
-    return override if override is not None else _env_int(ORACLE_GUARD_ENV, DEFAULT_ORACLE_GUARD)
+def oracle_guard() -> int:
+    return _env_int(ORACLE_GUARD_ENV, DEFAULT_ORACLE_GUARD)
 
 
 def spectrum_limit() -> int:

@@ -341,7 +341,7 @@ def _contracted_value(
         return INFINITE
     # a one-off 2^order table pays only where it is no dearer than the
     # 3^|need| subset DP; it is read once, so it stays out of the shared cache
-    fits = contracted.order <= 16 and 1 << contracted.order <= 3 ** len(need_t)
+    fits = contracted.order <= config.SPECTRUM_LIMIT and 1 << contracted.order <= 3 ** len(need_t)
     return _steiner_value(contracted, need_t, _superset_table.__wrapped__ if fits else None)
 
 
@@ -397,7 +397,6 @@ def steiner_distance(
     terminals: Iterable[int],
     *,
     witness: bool = True,
-    dp_limit: int | None = None,
 ) -> SteinerResult:
     """Minimum edge count of a connected subgraph of g containing the terminal support.
 
@@ -406,7 +405,7 @@ def steiner_distance(
     lexicographically smallest edge list; pass witness=False to skip extracting it.
     """
     sup = _validate_terminals(g, terminals)
-    config.check_dp_limit(len(sup), dp_limit)
+    config.check_dp_limit(len(sup))
     if len(sup) == 1:
         return SteinerResult(0, ())
     comp = component_of(g, sup[0])
@@ -419,12 +418,7 @@ def steiner_distance(
     return SteinerResult(value, tuple(tree))
 
 
-def steiner_distance_oracle(
-    g: Graph,
-    terminals: Iterable[int],
-    *,
-    guard: int | None = None,
-) -> SteinerResult:
+def steiner_distance_oracle(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     """Independent brute-force Steiner distance by superset enumeration.
 
     Vertex supersets of the terminal support are scanned in increasing size (within
@@ -433,7 +427,7 @@ def steiner_distance_oracle(
     spanning tree as a witness.
     """
     sup = _validate_terminals(g, terminals)
-    margin = config.oracle_guard(guard)
+    margin = config.oracle_guard()
     if g.order - len(sup) > margin:
         raise config.GuardExceeded(
             f"order {g.order} minus support {len(sup)} exceeds the enumeration guard {margin}"

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import bounds as bd
 from .config import GuardExceeded, oracle_guard, spectrum_limit
-from .families import FamilySpec, generate
+from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
     INFINITE,
     Graph,
@@ -189,13 +189,6 @@ def _ev_sdist_floor(p: dict) -> list[BoundReport]:
     return [_mk(p["tid"], inst, len(ids) - 1, d, INFINITE, t0)]
 
 
-def _ev_sdiam_range(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    g, k = p["g"], p["k"]
-    val = steiner_k_diameter(g, k, witness=False).value
-    return [_mk(p["tid"], f"{_gname(g)} k={k}", k - 1, val, g.order - 1, t0)]
-
-
 def _ev_sdiam_monotone(p: dict) -> list[BoundReport]:
     g = p["g"]
     out = []
@@ -235,17 +228,6 @@ def _ev_tree_shape(p: dict) -> list[BoundReport]:
     return [_flag(p["tid"], inst, is_path or is_spider, t0)]
 
 
-def _ev_high_k(p: dict) -> list[BoundReport]:
-    g = p["g"]
-    kappa = vertex_connectivity(g)
-    out = []
-    for k in range(max(2, g.order - kappa + 1), g.order + 1):
-        t0 = time.perf_counter()
-        val = steiner_k_diameter(g, k, witness=False).value
-        out.append(_mk(p["tid"], f"{_gname(g)} kappa={kappa} k={k}", k - 1, val, k - 1, t0))
-    return out
-
-
 def _valid_tree(g: Graph, edges: Sequence[tuple[int, int]], terminals: Sequence[int]) -> bool:
     if not edges:
         return len(support(terminals)) <= 1
@@ -271,11 +253,10 @@ def _valid_tree(g: Graph, edges: Sequence[tuple[int, int]], terminals: Sequence[
     return seen == verts
 
 
-def _product(p: dict) -> tuple[Graph, str]:
-    """The payload's product graph and instance stem: a cart_ op gives GxH,
-    a lex_ op the lexicographic product GoH."""
-    g, h = p["g"], p["h"]
-    if p["op"].startswith("cart_"):
+def _product(op: str, g: Graph, h: Graph) -> tuple[Graph, str]:
+    """The product graph of g and h and its instance stem: an op starting with
+    cart gives GxH, any other the lexicographic product GoH."""
+    if op.startswith("cart"):
         return cartesian_product(g, h).graph, f"{_gname(g)}x{_gname(h)}"
     return lexicographic_product(g, h).graph, f"{_gname(g)}o{_gname(h)}"
 
@@ -283,7 +264,7 @@ def _product(p: dict) -> tuple[Graph, str]:
 def _ev_pair(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
     g, h, a, b = p["g"], p["h"], p["a"], p["b"]
-    prod, stem = _product(p)
+    prod, stem = _product(p["op"], g, h)
     ga, ha = divmod(a, h.order)
     gb, hb = divmod(b, h.order)
     lo, up = PAIR_RULES[p["tid"]](g, h, (ga, ha), (gb, hb))
@@ -294,7 +275,7 @@ def _ev_pair(p: dict) -> list[BoundReport]:
 def _ev_set(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
     tid, g, h, ids = p["tid"], p["g"], p["h"], p["ids"]
-    prod, stem = _product(p)
+    prod, stem = _product(p["op"], g, h)
     pairs = [divmod(i, h.order) for i in ids]
     exact = steiner_distance(prod, ids, witness=False).distance
     inst = f"{stem} S={_set_str(ids)}"
@@ -310,7 +291,7 @@ def _ev_set(p: dict) -> list[BoundReport]:
 def _ev_builder(p: dict) -> list[BoundReport]:
     t0 = time.perf_counter()
     tid, g, h, ids = p["tid"], p["g"], p["h"], p["ids"]
-    prod, stem = _product(p)
+    prod, stem = _product(p["op"], g, h)
     pairs = [divmod(i, h.order) for i in ids]
     build = bd.build_cartesian_tree if p["op"].startswith("cart_") else bd.build_lexicographic_tree
     built = build(g, h, pairs)
@@ -319,17 +300,6 @@ def _ev_builder(p: dict) -> list[BoundReport]:
     row = _flag(tid, f"{stem} S={_set_str(ids)} built", ok, t0)
     row.lower, row.exact, row.upper = lo, built.distance, up
     return [row]
-
-
-def _ev_sdiam(p: dict) -> list[BoundReport]:
-    prod, stem = _product(p)
-    out = []
-    for k in p["ks"]:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(prod, k, witness=False).value
-        lo, up = SDIAM_RULES[p["tid"]](p["g"], p["h"], k)
-        out.append(_mk(p["tid"], f"{stem} k={k}", lo, exact, up, t0))
-    return out
 
 
 def _ev_remark1(p: dict) -> list[BoundReport]:
@@ -382,39 +352,10 @@ def _ev_example1(p: dict) -> list[BoundReport]:
     return rows
 
 
-def _ev_example2(p: dict) -> list[BoundReport]:
-    t0 = time.perf_counter()
-    n, m = p["n"], p["m"]
-    prod = cartesian_product(
-        generate(FamilySpec("path", (n,))), generate(FamilySpec("path", (m,)))
-    ).graph
-    exact = steiner_k_diameter(prod, 4, witness=False).value
-    pred = 2 * (n - 1) + (m - 1)
-    return [_mk(p["tid"], f"P{n}xP{m} k=4", pred, exact, pred, t0)]
-
-
-def _ev_example3(p: dict) -> list[BoundReport]:
-    n, h_spec, ks = p["n"], p["h_spec"], p["ks"]
-    g = generate(FamilySpec("path", (n,)))
-    h = Graph(h_spec[0], h_spec[1], name=h_spec[2])
-    prod = lexicographic_product(g, h).graph
-    out = []
-    for k in ks:
-        t0 = time.perf_counter()
-        exact = steiner_k_diameter(prod, k, witness=False).value
-        out.append(_mk(p["tid"], f"P{n}o{h.name} k={k}", n + k - 3, exact, n + k - 3, t0))
-    for dims, kk in p.get("complete", ()):
-        t0 = time.perf_counter()
-        gg = generate(FamilySpec("complete", (dims[0],)))
-        hh = generate(FamilySpec("complete", (dims[1],)))
-        exact = steiner_k_diameter(lexicographic_product(gg, hh).graph, kk, witness=False).value
-        out.append(_mk(p["tid"], f"K{dims[0]}oK{dims[1]} k={kk}", kk - 1, exact, kk - 1, t0))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# product rules of Sections 2-3, one prediction per rule id. The evaluators
-# above serve both products and read these tables by the payload's tid.
+# product rules of Sections 2-3 on vertex pairs and terminal sets, one
+# prediction per rule id. The evaluators above serve both products and read
+# these tables by the payload's tid.
 
 
 def _projected(g: Graph, pairs: Sequence[tuple[int, int]], side: int) -> Distance:
@@ -451,13 +392,6 @@ def _cor21(g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], exact: Distance
     return exact, tight, loose
 
 
-def _cor23(g: Graph, h: Graph, k: int) -> tuple[Distance, Distance]:
-    """Cor 2.3 is additive at k = 3, the only k its payloads carry."""
-    pred = (steiner_k_diameter(g, 3, witness=False).value
-            + steiner_k_diameter(h, 3, witness=False).value)
-    return pred, pred
-
-
 # rule id -> ((g, h, (ga, ha), (gb, hb)) -> (lower, upper)) for one vertex pair
 PAIR_RULES: dict[str, Callable[..., tuple[Distance, Distance]]] = {
     "Lemma2.1": lambda g, h, a, b: (distance(g, a[0], b[0]) + distance(h, a[1], b[1]),) * 2,
@@ -478,17 +412,18 @@ SET_RULES: dict[str, Callable[..., tuple[Distance, Distance, Distance]]] = {
     "Thm3.1": lambda g, h, pairs, exact: _around(exact, bd.lex_distance_closed_form(g, h, pairs)),
 }
 
-# rule id -> ((g, h, k) -> (lower, upper)) for the product's Steiner k-diameter
-SDIAM_RULES: dict[str, Callable[[Graph, Graph, int], tuple[Distance, Distance]]] = {
-    "Cor2.3": _cor23,
-    "Thm2.2": lambda g, h, k: bd.cartesian_sdiam_bounds(g, h, k),
-    "Thm3.2": lambda g, h, k: bd.lex_sdiam_bounds(g, h, k),
-    "Prop3.5": lambda g, h, k: (bd.sdiam3_lex_closed_form(g, h),) * 2,
-}
-
 
 # ---------------------------------------------------------------------------
-# closed forms of Section 4 (Props 4.1-4.6), shared by the rules and the tables
+# Steiner k-diameter predictions: the closed forms of Section 4 (Props
+# 4.1-4.6), shared by the rules and the tables, and every other rule that
+# bounds sdiam_k of one graph
+
+
+def _cor23(g: Graph, h: Graph, k: int) -> tuple[Distance, Distance]:
+    """Cor 2.3 is additive at k = 3, the only k its payloads carry."""
+    pred = (steiner_k_diameter(g, 3, witness=False).value
+            + steiner_k_diameter(h, 3, witness=False).value)
+    return pred, pred
 
 
 def _cycle(dims: Sequence[int], k: int) -> tuple[int, int]:
@@ -586,10 +521,11 @@ def _hamming(dims: Sequence[int], k: int) -> tuple[int, int] | None:
     return r * (k - 1), (k - 1) * (k * r - 2 * r - k + 3)
 
 
-# form key -> ((dims, k) -> (lower, upper), or None for k outside the stated
-# range). The keys without a lex_ prefix are the family names of the table
-# command; the lex_ forms are the lexicographic folds of the same factors.
-CLOSED_FORMS: dict[str, Callable[[Sequence[int], int], tuple[int, int] | None]] = {
+# form key -> ((params, k) -> (lower, upper), or None for k outside the stated
+# range). The family names of the table command take their family's dims; the
+# lex_ forms are the lexicographic folds of the same factors, and range takes
+# (order,). The rule ids and the two examples take the factor pair (g, h).
+CLOSED_FORMS: dict[str, Callable[[Sequence, int], tuple[Distance, Distance] | None]] = {
     "complete": lambda dims, k: (k - 1, k - 1),
     "path": lambda dims, k: (dims[0] - 1, dims[0] - 1),
     "cycle": _cycle,
@@ -604,16 +540,23 @@ CLOSED_FORMS: dict[str, Callable[[Sequence[int], int], tuple[int, int] | None]] 
     "lex_torus": _lex_torus,
     "hamming": _hamming,
     "lex_hamming": lambda dims, k: (k - 1, k - 1),
+    "range": lambda dims, k: (k - 1, dims[0] - 1),
+    "example2": lambda gh, k: (2 * (gh[0].order - 1) + gh[1].order - 1,) * 2,
+    "example3": lambda gh, k: (gh[0].order + k - 3,) * 2,
+    "Cor2.3": lambda gh, k: _cor23(*gh, k),
+    "Thm2.2": lambda gh, k: bd.cartesian_sdiam_bounds(*gh, k),
+    "Thm3.2": lambda gh, k: bd.lex_sdiam_bounds(*gh, k),
+    "Prop3.5": lambda gh, k: (bd.sdiam3_lex_closed_form(*gh),) * 2,
 }
 
 
 def _ev_closed_form(p: dict) -> list[BoundReport]:
     out = []
     for k in p["ks"]:
-        for label, form, dims, g in p["graphs"]:
+        for label, form, params, g in p["graphs"]:
             t0 = time.perf_counter()
             # the builders pick every k inside the form's stated range
-            lo, up = CLOSED_FORMS[form](dims, k)
+            lo, up = CLOSED_FORMS[form](params, k)
             exact = steiner_k_diameter(g, k, witness=False).value
             out.append(_mk(p["tid"], f"{label} k={k}", lo, exact, up, t0))
     return out
@@ -621,23 +564,17 @@ def _ev_closed_form(p: dict) -> list[BoundReport]:
 
 _OPS: dict[str, Callable[[dict], list[BoundReport]]] = {
     "sdist_floor": _ev_sdist_floor,
-    "sdiam_range": _ev_sdiam_range,
     "sdiam_monotone": _ev_sdiam_monotone,
     "spanning": _ev_spanning,
     "tree_shape": _ev_tree_shape,
-    "high_k": _ev_high_k,
     "cart_pair": _ev_pair,
     "cart_set": _ev_set,
     "cart_builder": _ev_builder,
-    "cart_sdiam": _ev_sdiam,
     "lex_pair": _ev_pair,
     "lex_set": _ev_set,
     "lex_builder": _ev_builder,
-    "lex_sdiam": _ev_sdiam,
     "remark1": _ev_remark1,
     "example1": _ev_example1,
-    "example2": _ev_example2,
-    "example3": _ev_example3,
     "closed_form": _ev_closed_form,
 }
 
@@ -654,6 +591,17 @@ def _evaluate(payload: dict) -> list[BoundReport]:
 
 # ---------------------------------------------------------------------------
 # instance builders, one per registered rule
+
+
+def _sdiam_payload(tid: str, ks: Iterable[int], *graphs: tuple) -> dict:
+    """A closed_form payload: sdiam_k of each (label, form, params, graph) at each k."""
+    return {"op": "closed_form", "tid": tid, "ks": list(ks), "graphs": list(graphs)}
+
+
+def _product_entry(op: str, form: str, g: Graph, h: Graph) -> tuple:
+    """(label, form, (g, h), product) of one product's k-diameter rows."""
+    prod, stem = _product(op, g, h)
+    return stem, form, (g, h), prod
 
 
 def _inst_obs11(c: CorpusSpec) -> list[dict]:
@@ -688,11 +636,8 @@ def _inst_obs12(c: CorpusSpec) -> list[dict]:
 
 
 def _inst_thm13(c: CorpusSpec) -> list[dict]:
-    out = []
-    for g in _single_graphs(c, 131, 20):
-        for k in range(2, g.order + 1):
-            out.append({"op": "sdiam_range", "tid": "Thm1.3", "g": g, "k": k})
-    return out
+    return [_sdiam_payload("Thm1.3", range(2, g.order + 1), (_gname(g), "range", (g.order,), g))
+            for g in _single_graphs(c, 131, 20)]
 
 
 def _inst_obs21(c: CorpusSpec) -> list[dict]:
@@ -746,10 +691,8 @@ def _inst_cor22(c: CorpusSpec) -> list[dict]:
 
 
 def _inst_cor23(c: CorpusSpec) -> list[dict]:
-    out = []
-    for g, h in _factor_pairs(c, 260, 20, (3, 5), (3, 5)):
-        out.append({"op": "cart_sdiam", "tid": "Cor2.3", "g": g, "h": h, "ks": [3]})
-    return out
+    return [_sdiam_payload("Cor2.3", [3], _product_entry("cart", "Cor2.3", g, h))
+            for g, h in _factor_pairs(c, 260, 20, (3, 5), (3, 5))]
 
 
 def _inst_thm22(c: CorpusSpec) -> list[dict]:
@@ -758,7 +701,7 @@ def _inst_thm22(c: CorpusSpec) -> list[dict]:
     for g, h in pairs:
         total = g.order * h.order
         ks = sorted({k for k in (3, 4, 6, total) if 3 <= k <= total})
-        out.append({"op": "cart_sdiam", "tid": "Thm2.2", "g": g, "h": h, "ks": ks})
+        out.append(_sdiam_payload("Thm2.2", ks, _product_entry("cart", "Thm2.2", g, h)))
     return out
 
 
@@ -775,10 +718,9 @@ def _inst_example1(c: CorpusSpec) -> list[dict]:
 
 
 def _inst_example2(c: CorpusSpec) -> list[dict]:
-    return [
-        {"op": "example2", "tid": "Example2", "n": 5, "m": 5},
-        {"op": "example2", "tid": "Example2", "n": 5, "m": 6},
-    ]
+    p5 = generate(FamilySpec("path", (5,)))
+    return [_sdiam_payload("Example2", [4], _product_entry(
+        "cart", "example2", p5, generate(FamilySpec("path", (m,))))) for m in (5, 6)]
 
 
 def _inst_lemma31(c: CorpusSpec) -> list[dict]:
@@ -906,32 +848,33 @@ def _inst_thm32(c: CorpusSpec) -> list[dict]:
         # first factor gives diameter 1 there while capped same-copy pairs cost 2).
         ks = sorted({k for k in (3, 4, h.order + 1, total) if 3 <= k <= total})
         ks = rng.sample(ks, min(4, len(ks)))
-        out.append({"op": "lex_sdiam", "tid": "Thm3.2", "g": g, "h": h, "ks": sorted(ks)})
+        out.append(_sdiam_payload("Thm3.2", sorted(ks), _product_entry("lex", "Thm3.2", g, h)))
     return out
 
 
 def _inst_example3(c: CorpusSpec) -> list[dict]:
-    path2 = (2, [(0, 1)], "P2")
-    path3 = (3, [(0, 1), (1, 2)], "P3")
-    empty2 = (2, [], "2K1")
+    def named(family: str, n: int) -> Graph:
+        return generate(FamilySpec(family, (n,)))
 
-    def ks_for(n: int, m: int) -> list[int]:
-        return [k for k in range(3, 2 * m + 1)
-                if k <= min(2 * m, n) or max(n, m + 1) <= k <= 2 * m]
+    def lex_path(n: int, h: Graph) -> dict:
+        m = h.order
+        ks = [k for k in range(3, 2 * m + 1)
+              if k <= min(2 * m, n) or max(n, m + 1) <= k <= 2 * m]
+        return _sdiam_payload("Example3", ks,
+                              _product_entry("lex", "example3", named("path", n), h))
 
-    return [
-        {"op": "example3", "tid": "Example3", "n": 5, "h_spec": path2, "ks": ks_for(5, 2),
-         "complete": [((4, 3), 4), ((3, 3), 3)]},
-        {"op": "example3", "tid": "Example3", "n": 4, "h_spec": path2, "ks": ks_for(4, 2)},
-        {"op": "example3", "tid": "Example3", "n": 5, "h_spec": path3, "ks": ks_for(5, 3)},
-        {"op": "example3", "tid": "Example3", "n": 6, "h_spec": empty2, "ks": ks_for(6, 2)},
-    ]
+    def lex_complete(a: int, b: int, k: int) -> dict:
+        # K_a o K_b is the lexicographic Hamming fold of K_a and K_b
+        return _sdiam_payload("Example3", [k], _product_entry(
+            "lex", "lex_hamming", named("complete", a), named("complete", b)))
+
+    p2 = named("path", 2)
+    return [lex_path(5, p2), lex_complete(4, 3, 4), lex_complete(3, 3, 3), lex_path(4, p2),
+            lex_path(5, named("path", 3)), lex_path(6, Graph(2, [], name="2K1"))]
 
 
 def _inst_prop35(c: CorpusSpec) -> list[dict]:
-    out = []
-    for g, h in _factor_pairs(c, 380, 15, (2, 5), (2, 5)):
-        out.append({"op": "lex_sdiam", "tid": "Prop3.5", "g": g, "h": h, "ks": [3]})
+    pairs = _factor_pairs(c, 380, 15, (2, 5), (2, 5))
     named = [
         (("path", (4,)), ("cycle", (3,))),
         (("path", (5,)), ("path", (3,))),
@@ -940,10 +883,9 @@ def _inst_prop35(c: CorpusSpec) -> list[dict]:
         (("complete", (3,)), ("complete", (2,))),
         (("star", (5,)), ("path", (2,))),
     ]
-    for gs, hs in named:
-        out.append({"op": "lex_sdiam", "tid": "Prop3.5", "g": generate(FamilySpec(*gs)),
-                    "h": generate(FamilySpec(*hs)), "ks": [3]})
-    return out
+    pairs += [(generate(FamilySpec(*gs)), generate(FamilySpec(*hs))) for gs, hs in named]
+    return [_sdiam_payload("Prop3.5", [3], _product_entry("lex", "Prop3.5", g, h))
+            for g, h in pairs]
 
 
 def _cart_and_lex(family: str, factor: str, dims: tuple[int, ...],
@@ -970,8 +912,7 @@ def _inst_prop41(c: CorpusSpec) -> list[dict]:
         lo = 3 if family == "cycle" else 2
         for n in range(lo, 10):
             g = generate(FamilySpec(family, (n,)))
-            out.append({"op": "closed_form", "tid": "Prop4.1", "ks": list(range(2, n + 1)),
-                        "graphs": [(g.name, family, (n,), g)]})
+            out.append(_sdiam_payload("Prop4.1", range(2, n + 1), (g.name, family, (n,), g)))
     return out
 
 
@@ -981,16 +922,13 @@ def _inst_prop42(c: CorpusSpec) -> list[dict]:
         total = n * m
         ks = sorted({k for k in (3, m, m + 1, total) if 3 <= k <= total})
         graphs = _cart_and_lex("grid", "path", (n, m), (f"P{n}xP{m}", f"P{n}oP{m}"))
-        out.append({"op": "closed_form", "tid": "Prop4.2", "ks": ks, "graphs": graphs})
+        out.append(_sdiam_payload("Prop4.2", ks, *graphs))
     return out
 
 
 def _inst_prop43(c: CorpusSpec) -> list[dict]:
-    out = []
-    for dims in ((3, 2, 2), (4, 2, 2), (3, 3, 2), (2, 2, 2), (4, 3)):
-        out.append({"op": "closed_form", "tid": "Prop4.3", "ks": _threshold_ks(dims),
-                    "graphs": _cart_and_lex("mesh", "path", dims)})
-    return out
+    return [_sdiam_payload("Prop4.3", _threshold_ks(dims), *_cart_and_lex("mesh", "path", dims))
+            for dims in ((3, 2, 2), (4, 2, 2), (3, 3, 2), (2, 2, 2), (4, 3))]
 
 
 def _inst_prop44(c: CorpusSpec) -> list[dict]:
@@ -999,16 +937,14 @@ def _inst_prop44(c: CorpusSpec) -> list[dict]:
     cases = [(dims, _threshold_ks(dims)) for dims in ((3, 3), (4, 3), (5, 3))]
     for dims, ks in cases + [((3, 3, 3), [3])]:
         for entry in _cart_and_lex("torus", "cycle", dims):
-            out.append({"op": "closed_form", "tid": "Prop4.4", "ks": ks, "graphs": [entry]})
+            out.append(_sdiam_payload("Prop4.4", ks, entry))
     return out
 
 
 def _inst_prop45(c: CorpusSpec) -> list[dict]:
-    out = []
-    for dims in ((3, 3), (4, 3), (4, 4), (3, 3, 3)):
-        out.append({"op": "closed_form", "tid": "Prop4.5", "ks": list(range(3, dims[-1] + 1)),
-                    "graphs": _cart_and_lex("hamming", "complete", dims)})
-    return out
+    return [_sdiam_payload("Prop4.5", range(3, dims[-1] + 1),
+                           *_cart_and_lex("hamming", "complete", dims))
+            for dims in ((3, 3), (4, 3), (4, 4), (3, 3, 3))]
 
 
 def _inst_prop46(c: CorpusSpec) -> list[dict]:
@@ -1016,16 +952,18 @@ def _inst_prop46(c: CorpusSpec) -> list[dict]:
     for family, n in (("hyper_petersen", 3), ("hyper_petersen_lex", 3),
                       ("hyper_petersen_lex", 4), ("hyper_petersen", 4)):
         g = generate(FamilySpec(family, (n,)))
-        ks = list(range(3, 11 if n == 3 else 21))
-        out.append({"op": "closed_form", "tid": "Prop4.6", "ks": ks,
-                    "graphs": [(g.name, family, (n,), g)]})
+        ks = range(3, 11 if n == 3 else 21)
+        out.append(_sdiam_payload("Prop4.6", ks, (g.name, family, (n,), g)))
     return out
 
 
 def _inst_obs41(c: CorpusSpec) -> list[dict]:
     out = []
     for g in _single_graphs(c, 410, 15):
-        out.append({"op": "high_k", "tid": "Obs4.1", "g": g})
+        kappa = vertex_connectivity(g)
+        ks = range(max(2, g.order - kappa + 1), g.order + 1)
+        out.append(_sdiam_payload("Obs4.1", ks, (f"{_gname(g)} kappa={kappa}", "complete",
+                                                 (g.order,), g)))
     return out
 
 
@@ -1120,7 +1058,8 @@ def closed_form_table(
     spec: FamilySpec, k_range: Iterable[int], jobs: int = 1
 ) -> list[TableRow]:
     """One row per k: the stated value or interval next to the computed one."""
-    if spec.family not in CLOSED_FORMS:
+    # CLOSED_FORMS also holds the lex folds and rule ids, which are no family
+    if spec.family not in CLOSED_FORMS or spec.family not in FAMILIES:
         raise ValueError(f"no closed form registered for family {spec.family!r}")
     hyper = spec.family in ("hyper_petersen", "hyper_petersen_lex")
     if hyper and len(spec.params) == 1 and spec.params[0] > 4:

@@ -1,9 +1,10 @@
-"""README's Guards table against the settable limits in steinerk.config."""
+"""README against the code: its Guards table against the settable limits in
+steinerk.config, and its list of registry ids against the verify registry."""
 
 import re
 from pathlib import Path
 
-from steinerk import config
+from steinerk import config, theorem_ids
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +23,8 @@ def test_guards_table_lists_every_env_override():
     }
     assert want  # the table is checked against something
     assert _guards_rows() == want
+
+
+def test_registry_ids_block_lists_every_rule_in_order():
+    block = README.read_text().split("Registry ids", 1)[1].split("```", 2)[1]
+    assert tuple(block.split()) == theorem_ids()

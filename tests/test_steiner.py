@@ -119,10 +119,11 @@ def test_guard_env_override(monkeypatch):
     assert steiner_distance_oracle(cycle(8), [0, 4]).distance == 4
 
 
-def test_dp_limit_argument_override():
+def test_dp_limit_argument_override(monkeypatch):
     # spectrum handles order <= 20; pushing both limits down forces the guard
+    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
     with pytest.raises(GuardExceeded):
-        off_table(steiner_distance, path(12), [0, 3, 7, 11], dp_limit=3)
+        off_table(steiner_distance, path(12), [0, 3, 7, 11])
 
 
 def test_lexmin_spanning_tree_on_subset():

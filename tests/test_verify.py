@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -16,14 +17,42 @@ from steinerk import (
 
 SMALL = CorpusSpec(pair_count=15, sets_per_instance=6)
 
-ALL_IDS = (
-    "Obs1.1", "Obs1.2", "Thm1.3", "Obs2.1",
-    "Lemma2.1", "Lemma2.2", "Thm2.1", "Cor2.1", "Cor2.2", "Cor2.3", "Thm2.2",
-    "Remark1", "Example1", "Example2",
-    "Lemma3.1", "Lemma3.2", "Lemma3.3", "Lemma3.4", "Thm3.1", "Prop3.1",
-    "Thm3.2", "Example3", "Prop3.5",
-    "Prop4.1", "Prop4.2", "Prop4.3", "Prop4.4", "Prop4.5", "Prop4.6", "Obs4.1",
-)
+# the published rule list, in registry order, each with the sha256 of its rows
+# on SMALL, repr(_stable(reports)). A refactor that moves, adds or alters any
+# row fails here; re-record a digest only for an intended change of rows.
+ROW_DIGESTS = {
+    "Obs1.1": "cd00a93f29151e74887e9972d424c357b0ef721d5c9420314d7079926b004e46",
+    "Obs1.2": "1772c9aa7c05e80e6f18e1009f29d1694aa6a86d827b93ff80a94df5ae0b481a",
+    "Thm1.3": "bf7631abc15de445e1c9781453a062aaf4a3004e57ba635cf97c5656e78da677",
+    "Obs2.1": "55ff760f04ca40669f6271b7d07be2bd26b774fcef9be08ea9f1e9e97d030078",
+    "Lemma2.1": "029e696533c36bf70717f3feaf5f4e295937f58add6af7c7432afe40b3a5e547",
+    "Lemma2.2": "68d5710a59c0738175647fd8ebc45ff9e19953df8f293e8ad2e344796f36d27c",
+    "Thm2.1": "c735635903d5ca42fd256870e53ef5a7ee1b11e29508b75c00cd4874b75fe422",
+    "Cor2.1": "f92c09786f6d806ebd92e3b2296f1347b918de76bbc3a796f4f1c064495cec71",
+    "Cor2.2": "12ade2cbb67702d0a01e08d3bdd9924e7792e43b9497b9acce0ba26c3fc9fe26",
+    "Cor2.3": "c61ae692b18aa7ab7518e644d90efa2141b7f431b171fb132924ff0bda982f44",
+    "Thm2.2": "58ac501d6c736ca46ccb070e27bbaf568ba169807edb25a115d4ec2d46c3c715",
+    "Remark1": "adf7b1e93333e2006d10275da035f04f948e7239a9a7c7bf7864336a43be6cce",
+    "Example1": "3b8bfa5f9c0c71035c66d011cb6a6301659b01aa73f39a054dc7958f1e7e389a",
+    "Example2": "4180efccb8b3058f9fc5aabe3143844817ce44995c5f8da6f0bbc6b126fc4d13",
+    "Lemma3.1": "9382eb73e14e4a93d99440dea2101b2e626f86ac536248d499e3fff7cc77a6cc",
+    "Lemma3.2": "c347e43b4cf5f99d3644fb74ea3f9baf840cafcd9cce61af3f57df673372e4a8",
+    "Lemma3.3": "27fa8286313c518bd92be69760263fd6696f0635fc1dd16b2eda5223456ac3c1",
+    "Lemma3.4": "1482134b63714db894169d35b9b1360e7da5aeeda7775f201e8dec4075515b2e",
+    "Thm3.1": "c3b619c592723db6032050eab68454ad108f5d0d180066ecedd41bcefc861d5b",
+    "Prop3.1": "71ed963146093435f38f43dfe8474e89827531b005acedda38db92080f26a2a8",
+    "Thm3.2": "ff4af0a87341910c684611668b552e018ca339aa5c769051c90196fd5902530e",
+    "Example3": "cdeac0bbbf8e3d79563006114c381827b4d1508615ef2660178974cf39d6c0d4",
+    "Prop3.5": "71224a70f93d519a28582d4f05823af1166058f89a069639de80b5c31beff73b",
+    "Prop4.1": "7f7f1aaf825501119714c0aaebd3edbf9553296c74533fcadeb704a0fd171aa4",
+    "Prop4.2": "b37d587136efb4d5641f67d4ad03216cae8672d52a7fd827e44ead199162dd8c",
+    "Prop4.3": "6076472dba62fd05019ab05aafecf0dd5db28b7b2efff8b861714fd6cb2f62f1",
+    "Prop4.4": "482e2fcfcd1b915213cc2395862ef008eb5552562ccd9323af178c0077c3b836",
+    "Prop4.5": "147702be2481780342359344147e46b10d5d42c26116d84d71546764848267d1",
+    "Prop4.6": "5590af366bc116158ad5c7f13b6cec2ef8c3f7073612c282d802cd4acd02f164",
+    "Obs4.1": "7c976e68a6a17da050e91c88169b63ebb2963a568fb5310bdf62b99791a2b5f9",
+}
+ALL_IDS = tuple(ROW_DIGESTS)
 
 
 def _stable(reports):
@@ -41,6 +70,7 @@ def test_rule_passes_on_reduced_corpus(tid):
     assert reports, f"{tid} produced no reports"
     bad = [r for r in reports if r.verdict == "FAIL"]
     assert not bad, f"{tid} failed on {bad[:3]}"
+    assert hashlib.sha256(repr(_stable(reports)).encode()).hexdigest() == ROW_DIGESTS[tid]
 
 
 def test_unknown_rule_is_rejected():
@@ -61,9 +91,11 @@ def test_seed_changes_the_corpus():
 
 
 def test_parallel_run_matches_sequential():
-    seq = verify_theorem("Prop4.1", SMALL, jobs=1)
-    par = verify_theorem("Prop4.1", SMALL, jobs=2)
-    assert _stable(seq) == _stable(par)
+    # the k-diameter payloads carry their graphs, products included, into the pool
+    for tid in ("Prop4.1", "Example3", "Thm2.2", "Obs4.1"):
+        seq = verify_theorem(tid, SMALL, jobs=1)
+        par = verify_theorem(tid, SMALL, jobs=2)
+        assert _stable(seq) == _stable(par), tid
 
 
 def test_guard_trips_become_skipped_rows(monkeypatch):
@@ -108,8 +140,10 @@ def test_table_k_out_of_range_is_visible():
 
 
 def test_table_refuses_unknown_family():
-    with pytest.raises(ValueError, match="closed form"):
-        closed_form_table(FamilySpec("spider", (3, 2, 1, 1, 1)), [3])
+    # a family without a closed form, and closed-form keys that are no family
+    for family, params in (("spider", (3, 2, 1, 1, 1)), ("range", (5,)), ("Thm2.2", ())):
+        with pytest.raises(ValueError, match="no closed form registered"):
+            closed_form_table(FamilySpec(family, params), [3])
     with pytest.raises(ValueError, match="dimension"):
         closed_form_table(FamilySpec("hyper_petersen", (5,)), [3])
     with pytest.raises(ValueError, match="parameter"):

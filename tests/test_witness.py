@@ -137,6 +137,24 @@ def test_contracted_tables_stay_out_of_cache():
     assert _superset_table.cache_info().misses == misses + 1
 
 
+def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
+    # the greedy's contracted graphs here have order 17-20 and |need| large
+    # enough that 2^order <= 3^|need|, so each reads a one-off table and none
+    # runs the pure-Python Dreyfus-Wagner DP
+    built = []
+    dreyfus_wagner = steinerk.steiner._dreyfus_wagner_table
+
+    def counting(g, sup):
+        built.append(g.order)
+        return dreyfus_wagner(g, sup)
+
+    monkeypatch.setattr(steinerk.steiner, "_dreyfus_wagner_table", counting)
+    terms = [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16, 18, 19]
+    res = steiner_distance(path(20), terms)
+    assert res == (19, path(20).edges)
+    assert [n for n in built if n > 16] == []
+
+
 def test_sparse_order_20_witness_above_k():
     # a sparse graph where the optimum needs more Steiner vertices than the
     # two special cases (value k-1 and k) cover
