@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,11 +48,19 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=4)
+def _masks_by_size(n: int) -> np.ndarray:
+    """Every n-bit mask, by set-bit count and ascending within a count: the
+    k-sets are the C(n, k) entries after the C(n, j) entries of each j < k."""
+    return np.argsort(_popcounts(n), kind="stable").astype(np.int32)
+
+
 def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distance, int]:
     """Max Steiner distance over k-sets (containing require_bit if given) plus the
     smallest attaining bitmask, read off the connected-superset table."""
     table = _superset_table(g)
-    idx = np.nonzero(_popcounts(g.order) == k)[0]
+    start = sum(math.comb(g.order, j) for j in range(k))
+    idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
     if require_bit is not None:
         idx = idx[(idx >> require_bit) & 1 == 1]
     vals = table[idx]

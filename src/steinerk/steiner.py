@@ -14,6 +14,9 @@ from .graphs import INFINITE, Graph, bfs_distances, check_vertex, component_of
 
 Distance = float  # int when finite, INFINITE otherwise
 
+_SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
+_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one _optimal_edges chunk
+
 
 class SteinerResult(NamedTuple):
     distance: Distance
@@ -115,25 +118,38 @@ def _superset_table(g: Graph) -> np.ndarray:
 
     Connectivity of every induced subgraph is computed by spreading component
     membership in parallel over all 2^order masks, then a superset-minimum
-    transform propagates sizes downward.
+    transform propagates sizes downward. One spreading step takes the
+    neighbourhood union of each block of _SPREAD_BLOCK vertices from a lookup
+    table indexed by the block's bits of the component (Four Russians). Each
+    block reads the components as the blocks before it left them, so growth
+    carries on within one step.
     """
     n = g.order
     if n < 1:
         raise ValueError("spectrum table needs order >= 1")
-    total = 1 << n
-    masks = np.arange(total, dtype=np.int64)
-    nbr = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        acc = 0
-        for w in g.adj[v]:
-            acc |= 1 << w
-        nbr[v] = acc
+    dtype = np.int32 if n <= 30 else np.int64
+    masks = np.arange(1 << n, dtype=dtype)
+    luts = []
+    for lo in range(0, n, _SPREAD_BLOCK):
+        # lut[p] = neighbours of the block vertices lo + i for the set bits i of p,
+        # doubled one vertex at a time as _popcounts is
+        lut = np.zeros(1, dtype=dtype)
+        for v in range(lo, min(lo + _SPREAD_BLOCK, n)):
+            acc = 0
+            for w in g.adj[v]:
+                acc |= 1 << w
+            lut = np.concatenate((lut, lut | acc))
+        luts.append((lo, lut))
     comp = masks & -masks
     while True:
-        grown = comp.copy()
-        for b in range(n):
-            grown |= ((comp >> b) & 1) * nbr[b]
-        grown &= masks
+        grown = comp
+        for lo, lut in luts:
+            idx = grown >> lo
+            idx &= lut.size - 1
+            spread = lut[idx]
+            spread &= masks
+            spread |= grown
+            grown = spread
         if np.array_equal(grown, comp):
             break
         comp = grown
@@ -265,9 +281,6 @@ def _steiner_value(
 
 # ---------------------------------------------------------------------------
 # witness extraction
-
-_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one _optimal_edges chunk
-
 
 def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
     """Edges of g that lie on some minimum Steiner tree for sup, ascending.

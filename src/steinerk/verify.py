@@ -161,6 +161,10 @@ def _mk(
     return BoundReport(tid, instance, lower, exact, upper, verdict, time.perf_counter() - t0)
 
 
+def _skipped(tid: str, instance: str, exc: GuardExceeded) -> BoundReport:
+    return BoundReport(tid, instance, 0, 0, 0, SKIPPED, 0.0, str(exc))
+
+
 def _flag(tid: str, instance: str, ok: bool, t0: float) -> BoundReport:
     """Structural check without a numeric sandwich: encode pass as 0 in [0,0]."""
     return BoundReport(
@@ -555,10 +559,16 @@ def _ev_closed_form(p: dict) -> list[BoundReport]:
     for k in p["ks"]:
         for label, form, params, g in p["graphs"]:
             t0 = time.perf_counter()
-            # the builders pick every k inside the form's stated range
-            lo, up = CLOSED_FORMS[form](params, k)
-            exact = steiner_k_diameter(g, k, witness=False).value
-            out.append(_mk(p["tid"], f"{label} k={k}", lo, exact, up, t0))
+            instance = f"{label} k={k}"
+            try:
+                # the builders pick every k inside the form's stated range
+                lo, up = CLOSED_FORMS[form](params, k)
+                exact = steiner_k_diameter(g, k, witness=False).value
+            except GuardExceeded as exc:
+                # one row per (graph, k) trip, so the rest of the payload still reports
+                out.append(_skipped(p["tid"], instance, exc))
+                continue
+            out.append(_mk(p["tid"], instance, lo, exact, up, t0))
     return out
 
 
@@ -583,10 +593,7 @@ def _evaluate(payload: dict) -> list[BoundReport]:
     try:
         return _OPS[payload["op"]](payload)
     except GuardExceeded as exc:
-        return [
-            BoundReport(payload.get("tid", "?"), payload.get("op", "?"),
-                        0, 0, 0, SKIPPED, 0.0, str(exc))
-        ]
+        return [_skipped(payload.get("tid", "?"), payload.get("op", "?"), exc)]
 
 
 # ---------------------------------------------------------------------------

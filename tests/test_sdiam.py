@@ -10,6 +10,7 @@ from steinerk import (
     steiner_k_radius,
 )
 from steinerk.families import cycle, path, petersen, star
+from steinerk.sdiam import _masks_by_size
 
 from strategies import off_table
 
@@ -124,3 +125,9 @@ def test_sweeps_honour_dp_limit(monkeypatch):
     with pytest.raises(GuardExceeded, match="DP limit 3"):
         steiner_k_radius(g, 4)
     assert steiner_k_diameter(g, 3, witness=False).value == 15
+
+
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_masks_by_size_lists_each_size_ascending(n):
+    want = [m for k in range(n + 1) for m in range(1 << n) if bin(m).count("1") == k]
+    assert _masks_by_size(n).tolist() == want

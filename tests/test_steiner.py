@@ -1,5 +1,8 @@
+import hashlib
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +22,7 @@ from steinerk.steiner import (
     _meet_pair_value,
     _meet_vertex_value,
     _popcounts,
+    _superset_table,
     lexmin_spanning_tree,
 )
 
@@ -207,3 +211,74 @@ def test_dp_route_builds_one_table(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_popcounts_match_bit_counting(n):
     assert _popcounts(n).tolist() == [bin(m).count("1") for m in range(1 << n)]
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _brute_superset_table(g):
+    """Smallest connected superset order of every mask (255 if none): a BFS on
+    each nonempty mask's induced subgraph, then a downward pass in which a mask
+    takes the best of its one-vertex extensions."""
+    n = g.order
+    best = [255] * (1 << n)
+    for mask in range(1, 1 << n):
+        verts = [v for v in range(n) if mask >> v & 1]
+        seen = {verts[0]}
+        queue = [verts[0]]
+        for u in queue:
+            for w in g.adj[u]:
+                if mask >> w & 1 and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) == len(verts):
+            best[mask] = len(verts)
+    for mask in range((1 << n) - 1, -1, -1):
+        for v in range(n):
+            if not mask >> v & 1:
+                best[mask] = min(best[mask], best[mask | 1 << v])
+    return best
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_superset_table_matches_brute_force(n):
+    # orders 11 and 12 span two lookup-table blocks; sparse draws are disconnected,
+    # and each draw is also taken with a random spanning tree added
+    rng = random.Random(n)
+    for p in (0.1, 0.25, 0.5, 0.9):
+        drawn = _random_graph(rng, n, p)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        for g in (drawn, Graph(n, list(drawn.edges) + tree)):
+            table = _superset_table.__wrapped__(g)
+            assert table.dtype == np.uint8
+            assert table.tolist() == _brute_superset_table(g), g.edges
+
+
+# sha256 of the uint8 table of _random_graph(random.Random(seed), n, 3 / (n - 1)),
+# recorded before the table build was last rewritten
+TABLE_DIGESTS = {
+    (16, 1): "239700bfe0eeff2ec64ad76ba92ca9b8cf617e591bd8d8c16f46f4a1cc177e03",
+    (18, 2): "6f8e50b99b0d56bd4dc4c49826611634dd15c3dd01af027afd5f4b529bcc484c",
+    (20, 3): "5d61f067ef1db0c17e42a98c0d3cd1990a2c9c049b3c53843dbfd370f5d39498",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(TABLE_DIGESTS))
+def test_superset_table_digests_are_pinned(n, seed):
+    g = _random_graph(random.Random(seed), n, 3 / (n - 1))
+    table = _superset_table.__wrapped__(g)
+    assert table.dtype == np.uint8
+    assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[n, seed]
+
+
+def test_order_20_table_build_memory_is_bounded():
+    g = _random_graph(random.Random(3), 20, 3 / 19)
+    _popcounts(20)  # cached across builds, so not part of one build's cost
+    tracemalloc.start()
+    try:
+        _superset_table.__wrapped__(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20, f"peak {peak / 2**20:.1f} MiB"

@@ -106,6 +106,20 @@ def test_guard_trips_become_skipped_rows(monkeypatch):
     assert skipped and all(r.reason for r in skipped)
 
 
+def test_guard_trip_skips_only_its_own_row(monkeypatch):
+    # the order-27 (3,3,3) products trip the lowered DP limit at k=3; each one
+    # becomes its own labelled SKIPPED row, and every other row still reports
+    monkeypatch.setenv("STEINERK_DP_LIMIT", "2")
+    reports = verify_theorem("Prop4.5")
+    assert len(reports) == 10
+    assert all(r.verdict == "PASS" for r in reports[:-2])
+    assert [(r.instance, r.verdict) for r in reports[-2:]] == [
+        ("hamming(3, 3, 3) k=3", "SKIPPED"),
+        ("lexhamming(3, 3, 3) k=3", "SKIPPED"),
+    ]
+    assert all("exceeds the DP limit 2" in r.reason for r in reports[-2:])
+
+
 def test_csv_shape():
     text = reports_to_csv(verify_theorem("Example1", SMALL))
     lines = text.strip().splitlines()
