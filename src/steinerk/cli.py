@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .bounds import (
@@ -171,7 +172,10 @@ def _cmd_table(args) -> int:
     return 2 if any(r.verdict == FAIL for r in rows) else 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: building it costs far more
+    than one parse."""
     parser = _Parser(prog="steinerk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

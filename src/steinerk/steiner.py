@@ -4,18 +4,27 @@ oracle, and witness trees with a lexicographically-smallest tie-break."""
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import config
-from .graphs import INFINITE, Graph, bfs_distances, check_vertex, component_of
+from .graphs import (
+    INFINITE,
+    Graph,
+    all_pairs_distances,
+    bfs_distances,
+    check_vertex,
+    component_of,
+)
 
 Distance = float  # int when finite, INFINITE otherwise
 
 _SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
-_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one _optimal_edges chunk
+_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or _optimal_edges chunk
+_UNREACHABLE = 1 << 20  # _apsp_matrix entry for a pair in different components
+_DW_BIG = 1 << 30  # Dreyfus-Wagner table entry where no tree exists
 
 
 class SteinerResult(NamedTuple):
@@ -91,15 +100,11 @@ def lexmin_spanning_tree(g: Graph, verts: Sequence[int]) -> list[tuple[int, int]
 
 @lru_cache(maxsize=256)
 def _apsp_matrix(g: Graph) -> np.ndarray:
-    """All-pairs BFS distances, unreachable pairs as a large sentinel."""
-    n = g.order
-    mat = np.full((n, n), 1 << 20, dtype=np.int64)
-    for v in range(n):
-        row = bfs_distances(g, v)
-        for w, d in enumerate(row):
-            if d != INFINITE:
-                mat[v, w] = int(d)
-    return mat
+    """All-pairs BFS distances, unreachable pairs as the sentinel _UNREACHABLE.
+    int32 holds the sum of five entries that _meet_pair_value takes, and
+    halves the cache."""
+    dist = np.array(all_pairs_distances(g), dtype=np.float64).reshape(g.order, g.order)
+    return np.where(dist == INFINITE, _UNREACHABLE, dist).astype(np.int32)
 
 
 @lru_cache(maxsize=8)
@@ -114,7 +119,8 @@ def _popcounts(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _superset_table(g: Graph) -> np.ndarray:
-    """best[mask] = order of the smallest connected superset of mask (255 if none).
+    """best[mask] = order of the smallest connected superset of mask, 255 if none;
+    the empty mask reads 1, the order of a single vertex.
 
     Connectivity of every induced subgraph is computed by spreading component
     membership in parallel over all 2^order masks, then a superset-minimum
@@ -154,6 +160,8 @@ def _superset_table(g: Graph) -> np.ndarray:
             break
         comp = grown
     best = np.where(comp == masks, _popcounts(n), np.uint8(255)).astype(np.uint8)
+    # the empty mask equals its own empty component, which would read 0 and
+    # spread 0 to nothing; as 255 it takes the minimum over all masks, 1
     best[0] = 255
     for b in range(n):
         half = best.reshape(-1, 2, 1 << b)
@@ -192,32 +200,61 @@ def _meet_pair_value(g: Graph, sup: Sequence[int]) -> int:
     return best
 
 
-def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> list[list[int]]:
-    """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
-    a large sentinel where none exists (Dreyfus-Wagner)."""
+@lru_cache(maxsize=8)
+def _dw_levels(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per subset size s = 2..k: the k-bit masks of that size, ascending; their
+    set bits' values, one row per mask, low bit first; and the
+    0/1 matrix whose column j picks the bits of split j: the low bit and the
+    higher bits at the set bits of j, for j < 2^(s-1) - 1."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    pop = _popcounts(k)
+    levels = []
+    for s in range(2, k + 1):
+        level = masks[pop == s]
+        _, positions = np.nonzero((level[:, None] >> np.arange(k)) & 1)
+        sel = (np.arange((1 << (s - 1)) - 1) << 1 | 1) >> np.arange(s)[:, None] & 1
+        levels.append((level, 1 << positions.reshape(-1, s), sel))
+    return levels
+
+
+def _dw_merge(f: np.ndarray, level: np.ndarray, bits: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """min over the splits B of each mask A of level, B holding A's low bit and
+    B != A, of f[B] + f[A-B], capped at the order n; level, bits and sel as
+    _dw_levels gives them."""
+    n = f.shape[1]
+    splits = sel.shape[1]
+    rows = np.full((len(level), n), n, dtype=f.dtype)
+    jstep = min(splits, max(1, _SPLIT_CHUNK_ENTRIES // n))
+    mstep = max(1, _SPLIT_CHUNK_ENTRIES // (jstep * n))
+    for lo in range(0, len(level), mstep):
+        out = rows[lo:lo + mstep]
+        for jlo in range(0, splits, jstep):
+            part = bits[lo:lo + mstep] @ sel[:, jlo:jlo + jstep]
+            sums = f[part]
+            sums += f[level[lo:lo + mstep, None] ^ part]
+            np.minimum(out, sums.min(axis=1), out=out)
+    return rows
+
+
+def _grow_dense(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows[c][v] = min over u of rows[c][u] + d(u, v), capped at the order n:
+    a min-plus product with dist, the all-pairs distances capped at n, in
+    chunks of rows."""
+    n = len(dist)
+    step = max(1, _SPLIT_CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        np.minimum((block[:, :, None] + dist).min(axis=1), n, out=block)
+    return rows
+
+
+def _grow_sparse(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The same grow step as _grow_dense, by a unit-weight multi-source
+    relaxation with a bucket queue per row."""
     n = g.order
-    k = len(sup)
-    big = 1 << 30
-    full = (1 << k) - 1
-    f = [[big] * n for _ in range(full + 1)]
-    for i, t in enumerate(sup):
-        f[1 << i][t] = 0
     adj = g.adj
-    for mask in range(1, full + 1):
-        fm = f[mask]
-        if mask & (mask - 1):
-            low = mask & -mask
-            sub = (mask - 1) & mask
-            while sub:
-                if sub & low:
-                    fs = f[sub]
-                    fo = f[mask ^ sub]
-                    for v in range(n):
-                        cand = fs[v] + fo[v]
-                        if cand < fm[v]:
-                            fm[v] = cand
-                sub = (sub - 1) & mask
-        # grow step: unit-weight multi-source relaxation with bucket queue
+    out = rows.tolist()
+    for fm in out:
         buckets: list[list[int]] = [[] for _ in range(n + 1)]
         for v, val in enumerate(fm):
             if val <= n:
@@ -233,17 +270,45 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> list[list[int]]:
                     if nd < fm[w]:
                         fm[w] = nd
                         buckets[nd].append(w)
-    return f
+    return np.array(out, dtype=rows.dtype)
+
+
+def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
+    """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
+    _DW_BIG where none exists (Dreyfus-Wagner), filled one subset size at a time.
+
+    Every split of a mask has smaller parts, so a whole level merges at once
+    (_dw_merge) and then grows along edges. The grow step is a min-plus product
+    with the all-pairs distance matrix where its n^2 matrix costs no more than
+    a BFS over every row, n^2 <= 2^k (n + 2m), and a bucket BFS per row
+    otherwise; both give the same rows. A tree has fewer than n edges, so the
+    fill caps every entry at n, meaning no tree, and a sum of two entries fits
+    the smallest integer type that holds 2n.
+    """
+    n = g.order
+    k = len(sup)
+    dtype = np.min_scalar_type(2 * n)
+    if n * n <= (1 << k) * (n + 2 * len(g.edges)):
+        grow = partial(_grow_dense, np.minimum(_apsp_matrix(g), n).astype(dtype))
+    else:
+        grow = partial(_grow_sparse, g)
+    f = np.full((1 << k, n), n, dtype=dtype)
+    singles = 1 << np.arange(k)
+    f[singles, list(sup)] = 0
+    f[singles] = grow(f[singles])
+    for level, bits, sel in _dw_levels(k):
+        f[level] = grow(_dw_merge(f, level, bits, sel))
+    return np.where(f < n, f, np.int64(_DW_BIG))
 
 
 @lru_cache(maxsize=1)
-def _query_dw_table(g: Graph, sup: tuple[int, ...]) -> list[list[int]]:
+def _query_dw_table(g: Graph, sup: tuple[int, ...]) -> np.ndarray:
     """One build serves a query's value and then its witness; one slot keeps one table alive."""
     return _dreyfus_wagner_table(g, sup)
 
 
 def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
-    return min(_query_dw_table(g, tuple(sup))[-1])
+    return int(_query_dw_table(g, tuple(sup))[-1].min())
 
 
 def _reads_table(g: Graph, k: int) -> bool:
@@ -307,7 +372,7 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
         dw = _query_dw_table(g, tuple(sup))
 
         def split_rows(idx: np.ndarray) -> np.ndarray:
-            return np.array([dw[a] for a in idx.tolist()], dtype=np.int64)
+            return dw[idx]
 
     u = np.array([e[0] for e in g.edges], dtype=np.int64)
     w = np.array([e[1] for e in g.edges], dtype=np.int64)

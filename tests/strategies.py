@@ -1,6 +1,7 @@
 """Shared hypothesis strategies for graph-valued properties, a witness-tree
 checker that is independent of the package's own, so the tests never judge the
-program with its own checker, and a helper that forces the off-table routes."""
+program with its own checker, a pure-Python Dreyfus-Wagner table to pin the
+package's numpy one, and a helper that forces the off-table routes."""
 
 import pytest
 from hypothesis import strategies as st
@@ -69,3 +70,48 @@ def is_valid_tree(g, edges, terminals) -> bool:
         seen.add(u)
         stack.extend(adj[u])
     return seen == verts
+
+
+def reference_dreyfus_wagner_table(g, sup) -> list[list[int]]:
+    """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
+    1 << 30 where none exists: the subset DP of Dreyfus and Wagner in pure
+    Python, one mask at a time in ascending order, each merged over its
+    splits and then grown by a bucket-queue BFS."""
+    n = g.order
+    k = len(sup)
+    big = 1 << 30
+    full = (1 << k) - 1
+    f = [[big] * n for _ in range(full + 1)]
+    for i, t in enumerate(sup):
+        f[1 << i][t] = 0
+    adj = g.adj
+    for mask in range(1, full + 1):
+        fm = f[mask]
+        if mask & (mask - 1):
+            low = mask & -mask
+            sub = (mask - 1) & mask
+            while sub:
+                if sub & low:
+                    fs = f[sub]
+                    fo = f[mask ^ sub]
+                    for v in range(n):
+                        cand = fs[v] + fo[v]
+                        if cand < fm[v]:
+                            fm[v] = cand
+                sub = (sub - 1) & mask
+        buckets = [[] for _ in range(n + 1)]
+        for v, val in enumerate(fm):
+            if val <= n:
+                buckets[val].append(v)
+        for dist_val in range(n + 1):
+            for v in buckets[dist_val]:
+                if fm[v] != dist_val:
+                    continue
+                nd = dist_val + 1
+                if nd > n:
+                    continue
+                for w in adj[v]:
+                    if nd < fm[w]:
+                        fm[w] = nd
+                        buckets[nd].append(w)
+    return f

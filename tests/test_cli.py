@@ -276,6 +276,19 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # the parser is built once per process, so no call may leak its
+    # subcommand or flags into the next one
+    gf = _write(tmp_path, "g.json", cycle(6))
+    assert main(["steiner", "-g", gf, "-S", "0,2,4", "--no-witness"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4"]
+    assert main(["dist", "-g", gf, "-S", "0,3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["3"]
+    assert main(["steiner", "-g", gf, "-S", "0,2,4"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4", "T: 0-1 0-5 1-2 4-5"]
+    assert _build_parser() is _build_parser()
+
+
 @pytest.fixture
 def steinerk_on_path(tmp_path, monkeypatch):
     """A ``steinerk`` launcher first on PATH, so the pipe test also runs from a

@@ -17,8 +17,13 @@ from steinerk import (
     support,
 )
 from steinerk.families import complete, cycle, path, spider, star
+from steinerk.graphs import all_pairs_distances, is_connected
+from steinerk.products import cartesian_product
 from steinerk.steiner import (
+    _apsp_matrix,
+    _dreyfus_wagner_table,
     _dreyfus_wagner_value,
+    _dw_levels,
     _meet_pair_value,
     _meet_vertex_value,
     _popcounts,
@@ -26,7 +31,12 @@ from steinerk.steiner import (
     lexmin_spanning_tree,
 )
 
-from strategies import graph_with_terminals, is_valid_tree, off_table
+from strategies import (
+    graph_with_terminals,
+    is_valid_tree,
+    off_table,
+    reference_dreyfus_wagner_table,
+)
 
 
 def test_support_collapses_multisets():
@@ -206,6 +216,63 @@ def test_dp_route_builds_one_table(monkeypatch):
     assert res.distance > len(terms)
     assert is_valid_tree(g, res.tree_edges, terms)
     assert sum(full_builds) == 1
+
+
+def _dw_cases():
+    """Seeded graphs of order 2-30 with 1-8 terminals, sparse draws mostly
+    disconnected and a spanning tree added to 70 % of them, then two
+    Cartesian 8x8 products at k = 5 and path(40) at k = 3."""
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        g = _random_graph(rng, n, rng.choice((0.05, 0.1, 0.2, 0.4)))
+        if rng.random() < 0.7:
+            g = Graph(n, list(g.edges) + [(rng.randrange(v), v) for v in range(1, n)])
+        yield g, sorted(rng.sample(range(n), rng.randint(1, min(8, n))))
+    for h in (cycle(8), path(8)):
+        yield cartesian_product(cycle(8), h).graph, sorted(rng.sample(range(64), 5))
+    yield path(40), [0, 17, 39]
+
+
+def test_dreyfus_wagner_table_matches_reference():
+    # every row and the 1 << 30 sentinel included, on both sides of the grow
+    # rule: the min-plus product where n^2 <= 2^k (n + 2m), the BFS otherwise
+    dense = sparse = disconnected = 0
+    for g, sup in _dw_cases():
+        got = _dreyfus_wagner_table(g, sup)
+        assert got.tolist() == reference_dreyfus_wagner_table(g, sup), (g.edges, sup)
+        if g.order ** 2 <= (1 << len(sup)) * (g.order + 2 * len(g.edges)):
+            dense += 1
+        else:
+            sparse += 1
+        disconnected += not is_connected(g)
+    assert dense >= 40 and sparse >= 40 and disconnected >= 40, (dense, sparse, disconnected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apsp_matrix_matches_all_pairs_distances(seed):
+    # sparse draws are disconnected; unreachable pairs read 1 << 20
+    rng = random.Random(seed)
+    g = _random_graph(rng, 1 + 9 * seed, 0.15)
+    want = [[1 << 20 if d == INFINITE else d for d in row] for row in all_pairs_distances(g)]
+    got = _apsp_matrix.__wrapped__(g)
+    assert got.dtype == np.int32
+    assert got.tolist() == want
+
+
+def test_dreyfus_wagner_table_memory_is_bounded():
+    # merge and grow temporaries are chunked, and the per-size masks are the
+    # only plan kept; an unchunked fill peaks near 44 MiB here
+    g = _sparse_connected(random.Random(2), 40)
+    sup = sorted(random.Random(3).sample(range(40), 12))
+    _dw_levels.cache_clear()
+    tracemalloc.start()
+    try:
+        _dreyfus_wagner_table(g, sup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12])

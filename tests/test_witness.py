@@ -166,3 +166,34 @@ def test_sparse_order_20_witness_above_k():
     assert res.distance > len(terms)
     assert len(res.tree_edges) == res.distance
     assert is_valid_tree(g, res.tree_edges, terms)
+
+
+def test_sparse_witnesses_build_no_large_apsp(monkeypatch):
+    # at order 600 and mean degree 3 the Dreyfus-Wagner grow rule,
+    # n^2 <= 2^k (n + 2m), sends a 3-terminal and a 2-terminal witness's
+    # split tables to the bucket BFS, so neither builds the 600 x 600 matrix
+    rng = random.Random(600)
+    n = 600
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 3 * n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph(n, edges)
+    built = []
+    apsp = steinerk.steiner._apsp_matrix
+
+    def counting(h):
+        misses = apsp.cache_info().misses
+        mat = apsp(h)
+        if apsp.cache_info().misses > misses:
+            built.append(h.order)
+        return mat
+
+    monkeypatch.setattr(steinerk.steiner, "_apsp_matrix", counting)
+    for k in (3, 2):
+        terms = sorted(rng.sample(range(n), k))
+        res = steiner_distance(g, terms)
+        assert res.distance > k
+        assert len(res.tree_edges) == res.distance
+        assert is_valid_tree(g, res.tree_edges, terms)
+    assert n not in built
