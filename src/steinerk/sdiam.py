@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -134,11 +134,6 @@ def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distanc
     return max((value, -mask) for value, mask in _sweep_values(g, k, start_rank, count))
 
 
-def _sweep_slice_job(payload) -> tuple[Distance, int]:
-    order, edges, k, start_rank, count = payload
-    return _sweep_slice(Graph(order, edges), k, start_rank, count)
-
-
 def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
     total = math.comb(g.order, k)
     workers = max(1, min(jobs, total))
@@ -146,14 +141,11 @@ def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
         value, neg_mask = _sweep_slice(g, k, 0, total)
         return value, -neg_mask
     chunk = (total + workers - 1) // workers
-    payloads = []
-    rank = 0
-    while rank < total:
-        size = min(chunk, total - rank)
-        payloads.append((g.order, g.edges, k, rank, size))
-        rank += size
+    starts = range(0, total, chunk)
+    counts = [min(chunk, total - start) for start in starts]
+    # the graph pickles itself through __getstate__, so each slice task carries it
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        value, neg_mask = max(pool.map(_sweep_slice_job, payloads))
+        value, neg_mask = max(pool.map(partial(_sweep_slice, g, k), starts, counts))
     return value, -neg_mask
 
 

@@ -18,7 +18,8 @@ from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from . import bounds as bd
-from .config import GuardExceeded, oracle_guard, spectrum_limit
+from . import config
+from .config import GuardExceeded, oracle_guard
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
     INFINITE,
@@ -29,7 +30,7 @@ from .graphs import (
 )
 from .products import cartesian_product, lexicographic_product
 from .sdiam import steiner_k_diameter
-from .steiner import Distance, steiner_distance, steiner_distance_oracle, support
+from .steiner import _DSU, Distance, steiner_distance, steiner_distance_oracle, support
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -66,19 +67,21 @@ class CorpusSpec:
     seed: int = 7
     min_order: int = 4
     max_order: int = 8
-    densities: tuple[float, ...] = (0.3, 0.5, 0.8)
     pair_count: int = 200
     sets_per_instance: int = 50
-    k_min: int = 3
-    k_max: int = 6
-    families: tuple[tuple[str, tuple[int, ...]], ...] = (
-        ("path", (7,)),
-        ("cycle", (8,)),
-        ("complete", (5,)),
-        ("star", (7,)),
-        ("petersen", ()),
-        ("grid", (3, 4)),
-    )
+
+
+# fixed for every corpus: the edge densities of its random graphs, and the
+# named families that the single-graph rules check after their random graphs
+DENSITIES = (0.3, 0.5, 0.8)
+NAMED_FAMILIES = (
+    FamilySpec("path", (7,)),
+    FamilySpec("cycle", (8,)),
+    FamilySpec("complete", (5,)),
+    FamilySpec("star", (7,)),
+    FamilySpec("petersen", ()),
+    FamilySpec("grid", (3, 4)),
+)
 
 
 def _rng(corpus: CorpusSpec, salt: int) -> random.Random:
@@ -106,18 +109,14 @@ def random_connected_graph(
     raise RuntimeError("rejection sampling failed to produce a connected graph")
 
 
-def _corpus_families(corpus: CorpusSpec) -> list[Graph]:
-    return [generate(FamilySpec(name, tuple(params))) for name, params in corpus.families]
-
-
 def _single_graphs(corpus: CorpusSpec, salt: int, count: int) -> list[Graph]:
     rng = _rng(corpus, salt)
     out = []
     for i in range(count):
         n = rng.randint(corpus.min_order, corpus.max_order)
-        d = rng.choice(corpus.densities)
+        d = rng.choice(DENSITIES)
         out.append(random_connected_graph(rng, n, d, f"r{salt}.{i}"))
-    return out + _corpus_families(corpus)
+    return out + [generate(spec) for spec in NAMED_FAMILIES]
 
 
 def _factor_pairs(
@@ -133,8 +132,8 @@ def _factor_pairs(
     for i in range(count):
         n = rng.randint(*g_orders)
         m = rng.randint(*h_orders)
-        dg = rng.choice(corpus.densities)
-        dh = rng.choice(corpus.densities)
+        dg = rng.choice(DENSITIES)
+        dh = rng.choice(DENSITIES)
         g = random_connected_graph(rng, n, dg, f"G{salt}.{i}")
         if h_connected:
             h = random_connected_graph(rng, m, dh, f"H{salt}.{i}")
@@ -152,6 +151,20 @@ def _sample_sets(rng: random.Random, universe: int, k: int, count: int) -> list[
         seen.add(tuple(sorted(rng.sample(range(universe), k))))
         attempts += 1
     return sorted(seen)
+
+
+def _set_payloads(rng: random.Random, pairs: Iterable[tuple[Graph, Graph]], op: str, tid: str,
+                  ks: Callable[[int], Iterable[int]], per: int, **extra) -> list[dict]:
+    """One payload per sampled terminal set: per sets of each size in ks(order)
+    on each factor pair's product. ks may draw its sizes from rng, which it
+    does before that pair's sets are sampled."""
+    out = []
+    for g, h in pairs:
+        total = g.order * h.order
+        for k in ks(total):
+            for ids in _sample_sets(rng, total, k, per):
+                out.append({"op": op, "tid": tid, "g": g, "h": h, "ids": list(ids), **extra})
+    return out
 
 
 def _mk(
@@ -233,28 +246,13 @@ def _ev_tree_shape(p: dict) -> list[BoundReport]:
 
 
 def _valid_tree(g: Graph, edges: Sequence[tuple[int, int]], terminals: Sequence[int]) -> bool:
-    if not edges:
-        return len(support(terminals)) <= 1
-    verts = {v for e in edges for v in e}
-    if len(edges) != len(verts) - 1:
+    """Whether edges form a tree of g through every terminal: |V| - 1 edges of g
+    on the tree's vertices and the terminals, none of them closing a cycle."""
+    verts = {v for e in edges for v in e} | set(terminals)
+    if len(edges) != len(verts) - 1 or any(not g.has_edge(u, v) for u, v in edges):
         return False
-    if not set(support(terminals)) <= verts:
-        return False
-    if any(not g.has_edge(u, v) for u, v in edges):
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {next(iter(verts))}
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
+    dsu = _DSU(verts)
+    return all(dsu.union(u, v) for u, v in edges)
 
 
 def _product(op: str, g: Graph, h: Graph) -> tuple[Graph, str]:
@@ -311,16 +309,14 @@ def _ev_remark1(p: dict) -> list[BoundReport]:
     g = generate(FamilySpec("spider", (3, 2, 1, 1, 1)))
     h = generate(FamilySpec("path", (5,)))
     prod = cartesian_product(g, h).graph
-    table_g = {
-        frozenset(sup): steiner_distance(g, list(sup), witness=False).distance
-        for r in range(1, 5)
-        for sup in itertools.combinations(range(5), r)
-    }
-    table_h = {
-        frozenset(sup): steiner_distance(h, list(sup), witness=False).distance
-        for r in range(1, 5)
-        for sup in itertools.combinations(range(5), r)
-    }
+    table_g, table_h = (
+        {
+            frozenset(sup): steiner_distance(f, list(sup), witness=False).distance
+            for r in range(1, 5)
+            for sup in itertools.combinations(range(5), r)
+        }
+        for f in (g, h)
+    )
     found = None
     for ids in itertools.combinations(range(25), 4):
         gs = frozenset(i // 5 for i in ids)
@@ -656,10 +652,14 @@ def _inst_obs21(c: CorpusSpec) -> list[dict]:
     return out
 
 
+def _cart_pairs(c: CorpusSpec, salt: int, count: int) -> list[tuple[Graph, Graph]]:
+    return _factor_pairs(c, salt, count, (c.min_order, c.max_order), (c.min_order, c.max_order))
+
+
 def _inst_lemma21(c: CorpusSpec) -> list[dict]:
     rng = _rng(c, 210)
     out = []
-    for g, h in _factor_pairs(c, 212, 25, (c.min_order, c.max_order), (c.min_order, c.max_order)):
+    for g, h in _cart_pairs(c, 212, 25):
         total = g.order * h.order
         picks = sorted({tuple(sorted(rng.sample(range(total), 2))) for _ in range(12)})
         for a, b in picks:
@@ -669,15 +669,8 @@ def _inst_lemma21(c: CorpusSpec) -> list[dict]:
 
 def _cart_set_instances(c: CorpusSpec, salt: int, tid: str, k_choices: Sequence[int],
                         sets_per: int) -> list[dict]:
-    rng = _rng(c, salt)
-    out = []
-    for g, h in _factor_pairs(c, salt + 1, c.pair_count, (c.min_order, c.max_order),
-                              (c.min_order, c.max_order)):
-        total = g.order * h.order
-        for k in k_choices:
-            for ids in _sample_sets(rng, total, k, sets_per):
-                out.append({"op": "cart_set", "tid": tid, "g": g, "h": h, "ids": list(ids)})
-    return out
+    return _set_payloads(_rng(c, salt), _cart_pairs(c, salt + 1, c.pair_count), "cart_set", tid,
+                         lambda total: k_choices, sets_per)
 
 
 def _inst_lemma22(c: CorpusSpec) -> list[dict]:
@@ -736,8 +729,8 @@ def _inst_lemma31(c: CorpusSpec) -> list[dict]:
     for i in range(25):
         n = rng.randint(2, 6)
         m = rng.randint(2, 5)
-        g = random_graph(rng, n, rng.choice(c.densities), f"G31.{i}")
-        h = random_graph(rng, m, rng.choice(c.densities), f"H31.{i}")
+        g = random_graph(rng, n, rng.choice(DENSITIES), f"G31.{i}")
+        h = random_graph(rng, m, rng.choice(DENSITIES), f"H31.{i}")
         total = n * m
         picks = sorted({tuple(sorted(rng.sample(range(total), 2))) for _ in range(10)})
         for a, b in picks:
@@ -754,15 +747,8 @@ def _lex_pairs(c: CorpusSpec, salt: int, count: int) -> list[tuple[Graph, Graph]
 
 
 def _inst_lemma33(c: CorpusSpec) -> list[dict]:
-    rng = _rng(c, 330)
-    out = []
-    for g, h in _lex_pairs(c, 331, 40):
-        total = g.order * h.order
-        for k in (3, min(6, total)):
-            for ids in _sample_sets(rng, total, k, 2):
-                out.append({"op": "lex_set", "tid": "Lemma3.3", "g": g, "h": h,
-                            "ids": list(ids)})
-    return out
+    return _set_payloads(_rng(c, 330), _lex_pairs(c, 331, 40), "lex_set", "Lemma3.3",
+                         lambda total: (3, min(6, total)), 2)
 
 
 def _inst_lemma34(c: CorpusSpec) -> list[dict]:
@@ -778,15 +764,9 @@ def _inst_lemma34(c: CorpusSpec) -> list[dict]:
 
 def _inst_thm31(c: CorpusSpec) -> list[dict]:
     rng = _rng(c, 350)
-    out = []
-    for g, h in _lex_pairs(c, 351, c.pair_count):
-        total = g.order * h.order
-        k = rng.randint(max(2, c.k_min - 1), min(c.k_max, total))
-        ids = _sample_sets(rng, total, k, 1)
-        if ids:
-            out.append({"op": "lex_set", "tid": "Thm3.1", "g": g, "h": h,
-                        "ids": list(ids[0]), "oracle": True})
-    return out + _inst_builders_lex(c)
+    sets = _set_payloads(rng, _lex_pairs(c, 351, c.pair_count), "lex_set", "Thm3.1",
+                         lambda total: (rng.randint(2, min(6, total)),), 1, oracle=True)
+    return sets + _inst_builders_lex(c)
 
 
 def _inst_prop31(c: CorpusSpec) -> list[dict]:
@@ -795,16 +775,16 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
     for i in range(12):
         # same copy, isolated base vertex
         n = rng.randint(3, 5)
-        blob = random_graph(rng, n - 1, rng.choice(c.densities))
+        blob = random_graph(rng, n - 1, rng.choice(DENSITIES))
         g = Graph(n, [(u + 1, v + 1) for u, v in blob.edges], name=f"iso{i}")
-        h = random_graph(rng, rng.randint(3, 5), rng.choice(c.densities), f"Hc1.{i}")
+        h = random_graph(rng, rng.randint(3, 5), rng.choice(DENSITIES), f"Hc1.{i}")
         hs = rng.sample(range(h.order), 3)
         ids = sorted(0 * h.order + x for x in hs)
         out.append({"op": "lex_set", "tid": "Prop3.1", "g": g, "h": h, "ids": ids})
 
         # same copy, base vertex with a neighbor
-        g2 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(c.densities), f"con{i}")
-        h2 = random_graph(rng, rng.randint(3, 5), rng.choice(c.densities), f"Hc2.{i}")
+        g2 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(DENSITIES), f"con{i}")
+        h2 = random_graph(rng, rng.randint(3, 5), rng.choice(DENSITIES), f"Hc2.{i}")
         g0 = rng.randrange(g2.order)
         hs = rng.sample(range(h2.order), 3)
         out.append({"op": "lex_set", "tid": "Prop3.1", "g": g2, "h": h2,
@@ -816,7 +796,7 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         blob_b = random_graph(rng, nb, 0.9)
         g3 = Graph(na + nb, list(blob_a.edges) + [(u + na, v + na) for u, v in blob_b.edges],
                    name=f"split{i}")
-        h3 = random_graph(rng, rng.randint(2, 4), rng.choice(c.densities), f"Hc3.{i}")
+        h3 = random_graph(rng, rng.randint(2, 4), rng.choice(DENSITIES), f"Hc3.{i}")
         ga, gb = rng.randrange(na), na + rng.randrange(nb)
         h_pair = rng.sample(range(h3.order), 2)
         ids = sorted([ga * h3.order + rng.randrange(h3.order),
@@ -824,8 +804,8 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         out.append({"op": "lex_set", "tid": "Prop3.1", "g": g3, "h": h3, "ids": ids})
 
         # two copies joined by a finite path
-        g4 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(c.densities), f"fin{i}")
-        h4 = random_graph(rng, rng.randint(2, 4), rng.choice(c.densities), f"Hc4.{i}")
+        g4 = random_connected_graph(rng, rng.randint(2, 5), rng.choice(DENSITIES), f"fin{i}")
+        h4 = random_graph(rng, rng.randint(2, 4), rng.choice(DENSITIES), f"Hc4.{i}")
         ga, gb = rng.sample(range(g4.order), 2)
         h_pair = rng.sample(range(h4.order), 2)
         ids = sorted([ga * h4.order + rng.randrange(h4.order),
@@ -836,10 +816,10 @@ def _inst_prop31(c: CorpusSpec) -> list[dict]:
         conn = rng.random() < 0.7
         n5 = rng.randint(3, 6)
         if conn:
-            g5 = random_connected_graph(rng, n5, rng.choice(c.densities), f"tri{i}")
+            g5 = random_connected_graph(rng, n5, rng.choice(DENSITIES), f"tri{i}")
         else:
             g5 = random_graph(rng, n5, 0.3, f"tri{i}")
-        h5 = random_graph(rng, rng.randint(2, 4), rng.choice(c.densities), f"Hc5.{i}")
+        h5 = random_graph(rng, rng.randint(2, 4), rng.choice(DENSITIES), f"Hc5.{i}")
         gs = rng.sample(range(n5), 3)
         ids = sorted(gi * h5.order + rng.randrange(h5.order) for gi in gs)
         out.append({"op": "lex_set", "tid": "Prop3.1", "g": g5, "h": h5, "ids": ids})
@@ -976,27 +956,14 @@ def _inst_obs41(c: CorpusSpec) -> list[dict]:
 
 def _inst_builders_cart(c: CorpusSpec) -> list[dict]:
     rng = _rng(c, 510)
-    out = []
-    for g, h in _factor_pairs(c, 511, 40, (c.min_order, c.max_order),
-                              (c.min_order, c.max_order)):
-        total = g.order * h.order
-        k = rng.randint(3, 6)
-        for ids in _sample_sets(rng, total, k, 3):
-            out.append({"op": "cart_builder", "tid": "Thm2.1", "g": g, "h": h,
-                        "ids": list(ids)})
-    return out
+    return _set_payloads(rng, _cart_pairs(c, 511, 40), "cart_builder", "Thm2.1",
+                         lambda total: (rng.randint(3, 6),), 3)
 
 
 def _inst_builders_lex(c: CorpusSpec) -> list[dict]:
     rng = _rng(c, 520)
-    out = []
-    for g, h in _lex_pairs(c, 521, 40):
-        total = g.order * h.order
-        k = rng.randint(2, min(6, total))
-        for ids in _sample_sets(rng, total, k, 3):
-            out.append({"op": "lex_builder", "tid": "Thm3.1", "g": g, "h": h,
-                        "ids": list(ids)})
-    return out
+    return _set_payloads(rng, _lex_pairs(c, 521, 40), "lex_builder", "Thm3.1",
+                         lambda total: (rng.randint(2, min(6, total)),), 3)
 
 
 REGISTRY: dict[str, Callable[[CorpusSpec], list[dict]]] = {
@@ -1082,7 +1049,7 @@ def closed_form_table(
         if pred is None:
             rows.append(TableRow(k, "", None, SKIPPED, 0.0, "k outside the stated range"))
             continue
-        if g.order > spectrum_limit() and math.comb(g.order, k) > 200_000:
+        if g.order > config.SPECTRUM_LIMIT and math.comb(g.order, k) > 200_000:
             rows.append(TableRow(k, _fmt_pred(pred), None, SKIPPED, 0.0,
                                  "exact sweep too large"))
             continue
@@ -1124,17 +1091,21 @@ def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reports_to_json(reports: Sequence[BoundReport]) -> str:
-    def enc(x: float):
-        return None if x == INFINITE else (int(x) if float(x).is_integer() else x)
+def _json_num(x: float | None) -> int | float | None:
+    """null for INFINITE or None, an int when integral."""
+    if x is None or x == INFINITE:
+        return None
+    return int(x) if float(x).is_integer() else x
 
+
+def reports_to_json(reports: Sequence[BoundReport]) -> str:
     payload = [
         {
             "theorem_id": r.theorem_id,
             "instance": r.instance,
-            "lower": enc(r.lower),
-            "exact": enc(r.exact),
-            "upper": enc(r.upper),
+            "lower": _json_num(r.lower),
+            "exact": _json_num(r.exact),
+            "upper": _json_num(r.upper),
             "verdict": r.verdict,
             "elapsed_ms": round(r.elapsed * 1000, 3),
             "reason": r.reason,
@@ -1160,8 +1131,7 @@ def table_to_json(rows: Sequence[TableRow]) -> str:
         {
             "k": r.k,
             "predicted": r.predicted,
-            "computed": None if r.computed is None else
-            (int(r.computed) if float(r.computed).is_integer() else r.computed),
+            "computed": _json_num(r.computed),
             "verdict": r.verdict,
             "elapsed_ms": round(r.elapsed * 1000, 3),
             "reason": r.reason,

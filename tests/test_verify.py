@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from steinerk import (
     theorem_ids,
     verify_theorem,
 )
+from steinerk.verify import _valid_tree, random_connected_graph
+from strategies import is_valid_tree
 
 SMALL = CorpusSpec(pair_count=15, sets_per_instance=6)
 
@@ -186,3 +189,42 @@ def test_table_serialization():
     payload = json.loads(table_to_json(rows))
     assert [row["k"] for row in payload] == [2, 3, 4]
     assert all(row["verdict"] == "PASS" for row in payload)
+
+
+def _random_spanning_tree(rng, g):
+    seen, tree = {0}, []
+    while len(seen) < g.order:
+        u, v = rng.choice([(u, v) for u, v in g.edges if (u in seen) != (v in seen)])
+        seen |= {u, v}
+        tree.append((u, v))
+    return tree
+
+
+def test_valid_tree_matches_reference():
+    rng = random.Random(3)
+    cases = []
+    for i in range(8):
+        g = random_connected_graph(rng, 8, 0.5)
+        tree = _random_spanning_tree(rng, g)
+        extra = [e for e in g.edges if e not in tree]
+        non_edge = next((u, v) for u in range(8) for v in range(u + 1, 8) if not g.has_edge(u, v))
+        leaf = next(v for v in range(8) if sum(v in e for e in tree) == 1)
+        terms = rng.sample(range(8), 3)
+        drop = rng.randrange(len(tree))
+        cases += [
+            (g, tree, terms),  # a spanning tree
+            (g, tree + extra[:1], terms),  # one cycle
+            (g, tree[:drop] + tree[drop + 1:], terms),  # a forest, or a tree off a leaf
+            (g, tree[:drop] + tree[drop + 1:] + extra[i % len(extra):][:1], terms),  # swap
+            (g, [e for e in tree if leaf not in e], [leaf]),  # missing terminal
+            # |V| - 1 edges, but a cycle beside the cut-off terminal
+            (g, [e for e in tree + extra[:4] if leaf not in e][:7], [leaf]),
+            (g, tree[1:] + [non_edge], terms),  # a non-edge
+            (g, tree + tree[:1], terms),  # a repeated edge
+            (g, [], [leaf]),
+            (g, [], [leaf, (leaf + 1) % 8]),
+        ]
+    got = [_valid_tree(g, edges, terms) for g, edges, terms in cases]
+    assert got == [is_valid_tree(g, edges, terms) for g, edges, terms in cases]
+    assert True in got and False in got
+    assert got[-2:] == [True, False]
