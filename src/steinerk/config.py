@@ -10,7 +10,7 @@ ORACLE_GUARD_ENV = "STEINERK_ORACLE_GUARD"
 DEFAULT_DP_LIMIT = 16  # max terminal-set support size for the subset DP
 DEFAULT_ORACLE_GUARD = 22  # max (order - support size) for superset enumeration
 SPECTRUM_LIMIT = 20  # max order for the whole-subset-lattice engine
-MAX_ORDER = 4096  # max graph order read or generated; an int64 APSP matrix is 128 MB
+MAX_ORDER = 4096  # max graph order read or generated; an int32 APSP matrix is 64 MB
 
 
 class GuardExceeded(RuntimeError):

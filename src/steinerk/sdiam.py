@@ -124,7 +124,7 @@ def _sweep_values(
         if any(labels[t] != root for t in terms[1:]):
             yield INFINITE, mask
             return
-        yield _steiner_value(g, terms, None), mask  # sweeps run above the table limit
+        yield _steiner_value(g, terms), mask
 
 
 def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distance, int]:

@@ -279,16 +279,15 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
 
     Every split of a mask has smaller parts, so a whole level merges at once
     (_dw_merge) and then grows along edges. The grow step is a min-plus product
-    with the all-pairs distance matrix where its n^2 matrix costs no more than
-    a BFS over every row, n^2 <= 2^k (n + 2m), and a bucket BFS per row
-    otherwise; both give the same rows. A tree has fewer than n edges, so the
-    fill caps every entry at n, meaning no tree, and a sum of two entries fits
-    the smallest integer type that holds 2n.
+    with the all-pairs distance matrix where _reads_apsp holds, and a bucket
+    BFS per row otherwise; both give the same rows. A tree has fewer than n
+    edges, so the fill caps every entry at n, meaning no tree, and a sum of two
+    entries fits the smallest integer type that holds 2n.
     """
     n = g.order
     k = len(sup)
     dtype = np.min_scalar_type(2 * n)
-    if n * n <= (1 << k) * (n + 2 * len(g.edges)):
+    if _reads_apsp(g, k):
         grow = partial(_grow_dense, np.minimum(_apsp_matrix(g), n).astype(dtype))
     else:
         grow = partial(_grow_sparse, g)
@@ -312,15 +311,24 @@ def _dreyfus_wagner_value(g: Graph, sup: Sequence[int]) -> int:
 
 
 def _reads_table(g: Graph, k: int) -> bool:
-    """Whether a k-terminal query's value and witness both read g's superset table."""
-    return k > 2 and g.order <= config.SPECTRUM_LIMIT
+    """Whether a k-terminal query's value and witness both read g's superset
+    table: a 2^order table where it is no dearer than the 3^k subset DP."""
+    return k > 2 and g.order <= config.SPECTRUM_LIMIT and 1 << g.order <= 3 ** k
+
+
+def _reads_apsp(g: Graph, k: int) -> bool:
+    """Whether a k-terminal solve may read g's n x n distance matrix: its
+    one-off build costs no more than a BFS from each of 2^k rows."""
+    n = g.order
+    return n * n <= (1 << k) * (n + 2 * len(g.edges))
 
 
 def _steiner_value(
-    g: Graph, sup: Sequence[int], table: Callable[[Graph], np.ndarray] | None
+    g: Graph, sup: Sequence[int], table: Callable[[Graph], np.ndarray] = _superset_table
 ) -> Distance:
-    """Exact Steiner distance of a support set already known to share a component;
-    table gets g's superset table, or is None for the meet-point and DP routes."""
+    """Exact Steiner distance of a support set already known to share a component,
+    by the one route that _reads_table and _reads_apsp pick; table builds g's
+    superset table where the route reads one."""
     k = len(sup)
     if k == 1:
         return 0
@@ -331,7 +339,7 @@ def _steiner_value(
         return k - 1
     if _one_extra_connects(g, sup):
         return k
-    if table is not None:
+    if _reads_table(g, k):
         mask = 0
         for v in sup:
             mask |= 1 << v
@@ -339,7 +347,7 @@ def _steiner_value(
         return INFINITE if best == 255 else best - 1
     if k == 3:
         return _meet_vertex_value(g, sup)
-    if k == 4:
+    if k == 4 and _reads_apsp(g, k):
         return _meet_pair_value(g, sup)
     return _dreyfus_wagner_value(g, sup)
 
@@ -417,10 +425,8 @@ def _contracted_value(
     comp = component_of(contracted, need_t[0])
     if any(t not in comp for t in need_t):
         return INFINITE
-    # a one-off 2^order table pays only where it is no dearer than the
-    # 3^|need| subset DP; it is read once, so it stays out of the shared cache
-    fits = contracted.order <= config.SPECTRUM_LIMIT and 1 << contracted.order <= 3 ** len(need_t)
-    return _steiner_value(contracted, need_t, _superset_table.__wrapped__ if fits else None)
+    # a table of the contracted graph is read once, so it stays out of the shared cache
+    return _steiner_value(contracted, need_t, _superset_table.__wrapped__)
 
 
 def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
@@ -489,9 +495,7 @@ def steiner_distance(
     comp = component_of(g, sup[0])
     if any(t not in comp for t in sup):
         return SteinerResult(INFINITE, ())
-    value = _steiner_value(g, sup, _superset_table if _reads_table(g, len(sup)) else None)
-    if value != INFINITE:
-        value = int(value)
+    value = _steiner_value(g, sup)
     tree = _lexmin_witness(g, sup, value) if witness else []
     return SteinerResult(value, tuple(tree))
 

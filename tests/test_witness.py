@@ -87,30 +87,38 @@ def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
 
 
 def _route_cases():
-    """Seeded connected graphs of order 13-20, k 3-10, mean degree 2.2-4."""
+    """64 seeded connected graphs of order 13-16, k from 3 to the order minus 2,
+    mean degree 2-3: sparse enough that large terminal sets still need two or
+    more Steiner vertices."""
     rng = random.Random(2024)
-    for _ in range(16):
-        n = rng.randint(13, 20)
-        target = round(n * rng.uniform(2.2, 4.0) / 2)
+    for _ in range(64):
+        n = rng.randint(13, 16)
+        target = round(n * rng.uniform(2.0, 3.0) / 2)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         while len(edges) < target:
             u, v = sorted(rng.sample(range(n), 2))
             edges.add((u, v))
-        k = rng.randint(3, 10)
+        k = rng.randint(3, n - 2)
         yield Graph(n, edges), sorted(rng.sample(range(n), k))
 
 
 def test_witness_route_agreement():
-    # the default route reads split arrays off the superset table; off it
-    # they come from Dreyfus-Wagner, and the tree must not move
-    general = 0
+    # where the default route reads the superset table, the split arrays come
+    # off it; off the table they come from Dreyfus-Wagner, and the tree must
+    # not move. Only the value > k cases build the witness from split arrays
+    general = table_general = 0
     for g, terms in _route_cases():
-        table = steiner_distance(g, terms)
+        reads = _superset_table.cache_info()
+        default = steiner_distance(g, terms)
+        after = _superset_table.cache_info()
         dp = off_table(steiner_distance, g, terms)
-        assert table == dp, (g.order, terms)
-        assert is_valid_tree(g, table.tree_edges, terms)
-        general += table.distance > len(terms)
+        assert default == dp, (g.order, terms)
+        assert is_valid_tree(g, default.tree_edges, terms)
+        above_k = default.distance > len(terms)
+        general += above_k
+        table_general += above_k and after.hits + after.misses > reads.hits + reads.misses
     assert general >= 5
+    assert table_general >= 5
 
 
 def test_two_terminal_witness_builds_no_table():
@@ -124,17 +132,23 @@ def test_two_terminal_witness_builds_no_table():
     assert _superset_table.cache_info().misses == misses
 
 
-def test_contracted_tables_stay_out_of_cache():
-    # the greedy's contracted re-solves build two one-off tables here; each is
-    # read once, so only the query's own table goes through the shared cache
+@pytest.mark.parametrize(
+    "terms, table_misses",
+    [([0, 3, 6, 8, 12], 0), ([0, 1, 3, 5, 6, 8, 9, 10, 12], 1)],
+    ids=["k5_dp", "k9_table"],
+)
+def test_contracted_tables_stay_out_of_cache(terms, table_misses):
+    # at order 13 a query reads the superset table only where 2^13 <= 3^k, so
+    # k = 5 takes the DP and k = 9 the table. The greedy's contracted re-solves
+    # may build one-off tables too; each is read once, so only the query's own
+    # table goes through the shared cache
     rng = random.Random(0)
     g = Graph(13, {(rng.randrange(v), v) for v in range(1, 13)} | {(2, 9), (4, 11)})
-    terms = [0, 3, 6, 8, 12]
     misses = _superset_table.cache_info().misses
     res = steiner_distance(g, terms)
     assert res.distance > len(terms)
     assert is_valid_tree(g, res.tree_edges, terms)
-    assert _superset_table.cache_info().misses == misses + 1
+    assert _superset_table.cache_info().misses == misses + table_misses
 
 
 def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
@@ -169,9 +183,10 @@ def test_sparse_order_20_witness_above_k():
 
 
 def test_sparse_witnesses_build_no_large_apsp(monkeypatch):
-    # at order 600 and mean degree 3 the Dreyfus-Wagner grow rule,
-    # n^2 <= 2^k (n + 2m), sends a 3-terminal and a 2-terminal witness's
-    # split tables to the bucket BFS, so neither builds the 600 x 600 matrix
+    # at order 600 and mean degree 3 the matrix rule, n^2 <= 2^k (n + 2m),
+    # fails for k <= 4: a 4-terminal value takes the DP instead of the meet,
+    # and the 4-, 3- and 2-terminal witnesses' split tables grow by bucket BFS,
+    # so none of them builds the 600 x 600 matrix
     rng = random.Random(600)
     n = 600
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -190,7 +205,7 @@ def test_sparse_witnesses_build_no_large_apsp(monkeypatch):
         return mat
 
     monkeypatch.setattr(steinerk.steiner, "_apsp_matrix", counting)
-    for k in (3, 2):
+    for k in (4, 3, 2):
         terms = sorted(rng.sample(range(n), k))
         res = steiner_distance(g, terms)
         assert res.distance > k
