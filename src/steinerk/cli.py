@@ -41,15 +41,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: an integer of at least 1, capped at the CPU count."""
+def _at_least_one(text: str) -> int:
+    """An integer option that must be at least 1."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1, capped at the CPU count."""
+    return min(_at_least_one(text), os.cpu_count() or 1)
 
 
 def _num(x: float) -> str:
@@ -165,6 +170,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.kmin > args.kmax:
+        raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     spec = FamilySpec(args.family, tuple(args.params))
     rows = closed_form_table(spec, range(args.kmin, args.kmax + 1), jobs=args.jobs)
     text = table_to_csv(rows) if args.format == "csv" else table_to_json(rows)
@@ -192,7 +199,7 @@ def _build_parser() -> _Parser:
         p.add_argument("-g", "--graph", default="-", help="graph JSON file, - for stdin")
         p.add_argument("-S", "--terminals", required=True,
                        help="comma-separated ids, or g:h pairs with --h-order")
-        p.add_argument("--h-order", type=int, default=None,
+        p.add_argument("--h-order", type=_at_least_one, default=None,
                        help="second-factor order for g:h terminal pairs")
         if name == "steiner":
             p.add_argument("--no-witness", action="store_true")
@@ -217,8 +224,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run one registered rule over the seeded corpus")
     p.add_argument("--theorem", required=True)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--pairs", type=int, default=CorpusSpec.pair_count)
-    p.add_argument("--sets", type=int, default=CorpusSpec.sets_per_instance)
+    p.add_argument("--pairs", type=_at_least_one, default=CorpusSpec.pair_count)
+    p.add_argument("--sets", type=_at_least_one, default=CorpusSpec.sets_per_instance)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)

@@ -13,7 +13,6 @@ from . import config
 from .graphs import (
     INFINITE,
     Graph,
-    all_pairs_distances,
     bfs_distances,
     check_vertex,
     component_of,
@@ -102,9 +101,32 @@ def lexmin_spanning_tree(g: Graph, verts: Sequence[int]) -> list[tuple[int, int]
 def _apsp_matrix(g: Graph) -> np.ndarray:
     """All-pairs BFS distances, unreachable pairs as the sentinel _UNREACHABLE.
     int32 holds the sum of five entries that _meet_pair_value takes, and
-    halves the cache."""
-    dist = np.array(all_pairs_distances(g), dtype=np.float64).reshape(g.order, g.order)
-    return np.where(dist == INFINITE, _UNREACHABLE, dist).astype(np.int32)
+    halves the cache.
+
+    Every source searches at once, one level per step: the next frontier is
+    the float32 product frontier @ adjacency (BLAS) less the vertices already
+    reached. Sources go in chunks of about _SPLIT_CHUNK_ENTRIES entries."""
+    n = g.order
+    dist = np.full((n, n), _UNREACHABLE, dtype=np.int32)
+    adj = np.zeros((n, n), dtype=np.float32)
+    if g.edges:
+        u, w = np.array(g.edges).T
+        adj[u, w] = adj[w, u] = 1
+    step = max(1, _SPLIT_CHUNK_ENTRIES // max(1, n))
+    for lo in range(0, n, step):
+        block = dist[lo:lo + step]
+        sources = np.arange(len(block))
+        frontier = np.zeros(block.shape, dtype=bool)
+        frontier[sources, sources + lo] = True
+        seen = frontier.copy()
+        level = 0
+        while frontier.any():
+            block[frontier] = level
+            level += 1
+            frontier = frontier.astype(np.float32) @ adj > 0
+            frontier &= ~seen
+            seen |= frontier
+    return dist
 
 
 @lru_cache(maxsize=8)
@@ -317,8 +339,8 @@ def _reads_table(g: Graph, k: int) -> bool:
 
 
 def _reads_apsp(g: Graph, k: int) -> bool:
-    """Whether a k-terminal solve may read g's n x n distance matrix: its
-    one-off build costs no more than a BFS from each of 2^k rows."""
+    """Whether a k-terminal solve may read g's n x n distance matrix: its n^2
+    entries are no more than the 2^k (n + 2m) steps of a BFS from each row."""
     n = g.order
     return n * n <= (1 << k) * (n + 2 * len(g.edges))
 
@@ -355,6 +377,25 @@ def _steiner_value(
 # ---------------------------------------------------------------------------
 # witness extraction
 
+def _split_rows(g: Graph, sup: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The rows of the split table for sup: rows(idx)[j][v] = f[A][v], the size
+    of the smallest tree spanning v and A = {sup[i] : bit i of idx[j]}, an entry
+    of the order or more where none exists. They are read off g's superset table
+    where _reads_table holds, else off the query's Dreyfus-Wagner table."""
+    if not _reads_table(g, len(sup)):
+        return _query_dw_table(g, tuple(sup)).__getitem__
+    # f[A][v] = best[mask(A) | 1 << v] - 1
+    masks = np.zeros(1, dtype=np.int64)
+    for t in sup:
+        masks = np.concatenate((masks, masks | (1 << t)))
+    vbits = 1 << np.arange(g.order, dtype=np.int64)
+    table = _superset_table(g)
+
+    def rows(idx: np.ndarray) -> np.ndarray:
+        return table[masks[idx, None] | vbits].astype(np.int32) - 1
+    return rows
+
+
 def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
     """Edges of g that lie on some minimum Steiner tree for sup, ascending.
 
@@ -366,22 +407,7 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
     {sup[i] : bit i of a}, so S-A is row full - a, the reversed row order.
     """
     full = (1 << len(sup)) - 1
-    if _reads_table(g, len(sup)):
-        # f[A][v] = best[mask(A) | 1 << v] - 1
-        masks = np.zeros(1, dtype=np.int64)
-        for t in sup:
-            masks = np.concatenate((masks, masks | (1 << t)))
-        vbits = 1 << np.arange(g.order, dtype=np.int64)
-        table = _superset_table(g)
-
-        def split_rows(idx: np.ndarray) -> np.ndarray:
-            return table[masks[idx, None] | vbits].astype(np.int32) - 1
-    else:
-        dw = _query_dw_table(g, tuple(sup))
-
-        def split_rows(idx: np.ndarray) -> np.ndarray:
-            return dw[idx]
-
+    split_rows = _split_rows(g, sup)
     u = np.array([e[0] for e in g.edges], dtype=np.int64)
     w = np.array([e[1] for e in g.edges], dtype=np.int64)
     hit = np.zeros(len(g.edges), dtype=bool)
@@ -395,38 +421,116 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
     return [e for e, keep in zip(g.edges, hit.tolist()) if keep]
 
 
+def _min_tree(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
+    """One minimum Steiner tree for sup, ascending, by backtracking the split
+    table from (all of sup, sup[0]).
+
+    At (A, v) it takes the first split B of A, holding A's low bit, with
+    f[B][v] + f[A-B][v] == f[A][v] and backtracks both parts from v; failing
+    that, it steps along the edge to the smallest neighbour u with
+    f[A][u] + 1 == f[A][v]. Above f = 0 one of the two holds (the Dreyfus-Wagner
+    recurrence), so the pieces' sizes add up to value. Their union is connected
+    and spans sup, so with at most value edges it is a minimum tree.
+    """
+    split_rows = _split_rows(g, sup)
+    tree: list[tuple[int, int]] = []
+    stack = [((1 << len(sup)) - 1, sup[0])]
+    while stack:
+        a, v = stack.pop()
+        low = a & -a
+        rest = a ^ low
+        splits = []  # low with each proper subset of A - low, descending
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            splits.append(sub | low)
+        rows = split_rows(np.array([a] + splits + [a ^ b for b in splits]))
+        f = rows[0].tolist()
+        if splits:
+            sums = rows[1:len(splits) + 1] + rows[len(splits) + 1:]
+            best, pick = sums.min(axis=0).tolist(), sums.argmin(axis=0).tolist()
+        while f[v]:
+            if splits and best[v] == f[v]:
+                b = splits[pick[v]]
+                stack += [(b, v), (a ^ b, v)]
+                break
+            u = next(u for u in g.adj[v] if f[u] + 1 == f[v])
+            tree.append((v, u) if v < u else (u, v))
+            v = u
+    assert len(tree) == value
+    return sorted(tree)
+
+
+class _Trial(NamedTuple):
+    """A contracted re-solve: its value and, where the value is finite and
+    above 0, the contracted graph, its terminals, the root of the forced forest
+    behind each contracted vertex, and the non-excluded original edges,
+    ascending, between each pair of roots."""
+    value: Distance
+    graph: Graph | None = None
+    need: tuple[int, ...] = ()
+    roots: tuple[int, ...] = ()
+    originals: dict[tuple[int, int], list[tuple[int, int]]] | None = None
+
+
 def _contracted_value(
     g: Graph,
     terminals: Sequence[int],
     forced: Sequence[tuple[int, int]],
     excluded: set[tuple[int, int]],
-) -> Distance:
-    """Minimum Steiner tree size containing the forced forest, avoiding excluded edges."""
+) -> _Trial:
+    """Minimum Steiner tree size containing the forced forest, avoiding excluded
+    edges, with the contracted instance that gave it."""
     dsu = _DSU(range(g.order))
     for u, v in forced:
         dsu.union(u, v)
     need_roots = {dsu.find(t) for t in terminals}
     need_roots.update(dsu.find(u) for u, _ in forced)
     if len(need_roots) == 1:
-        return 0
-    root_edges = set()
+        return _Trial(0)
+    originals: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for e in g.edges:
         if e in excluded:
             continue
         ru, rv = dsu.find(e[0]), dsu.find(e[1])
         if ru != rv:
-            root_edges.add((ru, rv) if ru < rv else (rv, ru))
+            originals.setdefault((ru, rv) if ru < rv else (rv, ru), []).append(e)
     # components without a terminal, a forced edge or a usable edge are isolated
     # in the contracted graph and cannot carry the tree, so they are left out
-    roots = need_roots.union(*root_edges)
-    labels = {r: i for i, r in enumerate(sorted(roots))}
-    contracted = Graph(len(labels), [(labels[a], labels[b]) for a, b in root_edges])
+    roots = tuple(sorted(need_roots.union(*originals)))
+    labels = {r: i for i, r in enumerate(roots)}
+    contracted = Graph(len(labels), [(labels[a], labels[b]) for a, b in originals])
     need_t = tuple(sorted(labels[r] for r in need_roots))
     comp = component_of(contracted, need_t[0])
     if any(t not in comp for t in need_t):
-        return INFINITE
+        return _Trial(INFINITE)
     # a table of the contracted graph is read once, so it stays out of the shared cache
-    return _steiner_value(contracted, need_t, _superset_table.__wrapped__)
+    value = _steiner_value(contracted, need_t, _superset_table.__wrapped__)
+    return _Trial(value, contracted, need_t, roots, originals)
+
+
+def _recertify(
+    trial: _Trial, forced: list[tuple[int, int]], usable: set[tuple[int, int]]
+) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """The greedy's certificate and usable set after an accepted trial, from
+    the trial's contracted instance, each contracted edge standing for its
+    smallest original. At value k - 1 or k (k = |need|) the certificate is that
+    instance's witness, which needs no table, and usable is kept. Above k both
+    come off its Dreyfus-Wagner table, which the DP route has just built;
+    where a one-off superset table gave the value there is no certificate."""
+    g, need, value = trial.graph, trial.need, trial.value
+    if g is None or value > len(need) and _reads_table(g, len(need)):
+        return set(), usable
+
+    def originals(edge: tuple[int, int]) -> list[tuple[int, int]]:
+        return trial.originals[trial.roots[edge[0]], trial.roots[edge[1]]]
+
+    if value <= len(need):
+        tree = _lexmin_witness(g, need, value)
+    else:
+        tree = _min_tree(g, need, value)
+        usable = {e for c in _optimal_edges(g, need, value) for e in originals(c)}
+    return set(forced).union(originals(e)[0] for e in tree), usable
 
 
 def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
@@ -453,18 +557,30 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
     # the optimal size through the kept forest still exists without skipped
     # edges. An edge on no minimum tree would fail its trial, and every trial
     # has the same outcome without such edges, so only the others are tried.
+    # The certificate is one such tree through the kept forest (empty where
+    # none is known), and usable holds every edge on any such tree: an edge on
+    # the certificate passes its trial and one outside usable fails it, so
+    # neither needs a re-solve. The set of such trees only shrinks as edges are
+    # kept or skipped, so a usable set taken earlier still holds every edge.
     candidates = _optimal_edges(g, sup, value)
     chosen: list[tuple[int, int]] = []
     excluded = set(g.edges).difference(candidates)
+    certificate = set(_min_tree(g, sup, value))
+    usable = set(candidates)
     dsu = _DSU(range(g.order))
     for e in candidates:
         if len(chosen) == value:
             break
-        if dsu.find(e[0]) == dsu.find(e[1]):
-            excluded.add(e)
-            continue
-        trial = _contracted_value(g, sup, chosen + [e], excluded)
-        if trial != INFINITE and trial + len(chosen) + 1 <= value:
+        if e in certificate:
+            keep = True
+        elif e not in usable or dsu.find(e[0]) == dsu.find(e[1]):
+            keep = False
+        else:
+            trial = _contracted_value(g, sup, chosen + [e], excluded)
+            keep = trial.value != INFINITE and trial.value + len(chosen) + 1 <= value
+            if keep:
+                certificate, usable = _recertify(trial, chosen + [e], usable)
+        if keep:
             chosen.append(e)
             dsu.union(e[0], e[1])
         else:

@@ -270,6 +270,35 @@ def test_jobs_capped_at_cpu_count(command):
     assert args.jobs == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "Example1", "--pairs", "0"],
+        ["verify", "--theorem", "Example1", "--pairs", "-3"],
+        ["verify", "--theorem", "Example1", "--sets", "-1"],
+        ["steiner", "-S", "0:1,1:0", "--h-order", "0"],
+        ["dist", "-S", "0:1,1:0", "--h-order", "-2"],
+    ],
+    ids=["pairs_0", "pairs_neg", "sets_neg", "steiner_h_order_0", "dist_h_order_neg"],
+)
+def test_counts_below_one_exit_1(argv, capsys):
+    # a run that checks nothing, or an h order with no coordinates, is a usage
+    # error, not an empty report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert f"must be at least 1, got {argv[-1]}" in captured.err
+    assert captured.out == ""
+
+
+def test_table_kmin_above_kmax_exits_1(capsys):
+    assert main(["table", "--family", "cycle", "--params", "5", "--kmin", "3", "--kmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "--kmin 3 exceeds --kmax 2" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["sdiam"])  # missing required -k

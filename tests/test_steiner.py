@@ -249,15 +249,57 @@ def test_dreyfus_wagner_table_matches_reference():
     assert dense >= 40 and sparse >= 40 and disconnected >= 40, (dense, sparse, disconnected)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_apsp_matrix_matches_all_pairs_distances(seed):
-    # sparse draws are disconnected; unreachable pairs read 1 << 20
-    rng = random.Random(seed)
-    g = _random_graph(rng, 1 + 9 * seed, 0.15)
+def _components():
+    """cycle(5), path(4), complete(3) and an isolated vertex side by side."""
+    parts, edges, lo = (cycle(5), path(4), complete(3), Graph(1, [])), [], 0
+    for h in parts:
+        edges += [(lo + u, lo + v) for u, v in h.edges]
+        lo += h.order
+    return Graph(lo, edges)
+
+
+# name: (graph builder, _SPLIT_CHUNK_ENTRIES or None for the default). The
+# seeded draws "0"-"3" are sparse and mostly disconnected; the chunked cases
+# take several source chunks of a few rows each, the last one ragged
+APSP_CASES = {
+    **{str(seed): (lambda seed=seed: _random_graph(random.Random(seed), 1 + 9 * seed, 0.15), None)
+       for seed in range(4)},
+    "order_0": (lambda: Graph(0, []), None),
+    "order_1": (lambda: Graph(1, []), None),
+    "edgeless": (lambda: Graph(7, []), None),
+    "components": (_components, None),
+    "dense": (lambda: _random_graph(random.Random(4), 30, 0.8), None),
+    "chunked_65": (lambda: _sparse_connected(random.Random(65), 65), 1000),
+    "chunked_97": (lambda: _random_graph(random.Random(97), 97, 0.02), 1000),
+    "chunked_130": (lambda: _sparse_connected(random.Random(130), 130), 1000),
+}
+
+
+@pytest.mark.parametrize("case", list(APSP_CASES))
+def test_apsp_matrix_matches_all_pairs_distances(case, monkeypatch):
+    # unreachable pairs read 1 << 20
+    build, chunk = APSP_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
+    g = build()
     want = [[1 << 20 if d == INFINITE else d for d in row] for row in all_pairs_distances(g)]
     got = _apsp_matrix.__wrapped__(g)
     assert got.dtype == np.int32
+    assert got.shape == (g.order, g.order)
     assert got.tolist() == want
+
+
+def test_apsp_matrix_memory_is_bounded():
+    # the result and the float32 adjacency take 4 MB each; the search
+    # temporaries are chunked, where all 1000 sources at once peak near 17 MiB
+    g = _sparse_connected(random.Random(1000), 1000)
+    tracemalloc.start()
+    try:
+        _apsp_matrix.__wrapped__(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_dreyfus_wagner_table_memory_is_bounded():

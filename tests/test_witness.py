@@ -1,8 +1,9 @@
 """Witness trees against brute force: the tree `steiner_distance` returns is the
 lexicographically smallest minimum Steiner tree, `_optimal_edges` is exactly
-the union of all minimum Steiner trees, and the witness does not depend on the
-route that computed the value."""
+the union of all minimum Steiner trees, `_min_tree` is one of them, and the
+witness does not depend on the route that computed the value."""
 
+import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -10,9 +11,9 @@ from functools import lru_cache
 import pytest
 
 import steinerk.steiner
-from steinerk import Graph, config, steiner_distance, steiner_distance_oracle
-from steinerk.families import path
-from steinerk.steiner import _optimal_edges, _superset_table
+from steinerk import INFINITE, Graph, config, steiner_distance, steiner_distance_oracle
+from steinerk.families import cycle, path
+from steinerk.steiner import _min_tree, _optimal_edges, _reads_table, _superset_table
 
 from strategies import is_valid_tree, off_table
 
@@ -86,6 +87,20 @@ def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
         assert set(got) == union, (seed, terms)
 
 
+@pytest.mark.parametrize("limit", [None, 0])
+def test_min_tree_is_a_minimum_tree(limit, monkeypatch):
+    # the greedy's first certificate. By default the split rows come off the
+    # superset table where the query reads one and off Dreyfus-Wagner
+    # elsewhere; a spectrum limit of 0 sends every case to Dreyfus-Wagner
+    if limit is not None:
+        monkeypatch.setattr(config, "SPECTRUM_LIMIT", limit)
+    table = 0
+    for seed, g, terms, value, trees in _brute_force_cases():
+        assert tuple(_min_tree(g, terms, value)) in trees, (seed, terms)
+        table += _reads_table(g, len(terms))
+    assert table >= 100 if limit is None else table == 0
+
+
 def _route_cases():
     """64 seeded connected graphs of order 13-16, k from 3 to the order minus 2,
     mean degree 2-3: sparse enough that large terminal sets still need two or
@@ -121,6 +136,59 @@ def test_witness_route_agreement():
     assert table_general >= 5
 
 
+def test_certificates_halve_the_contracted_resolves(monkeypatch):
+    # the greedy takes edges on its certificate and drops edges off the
+    # minimum trees it knows of without a re-solve; the same 64 queries ran
+    # 348 re-solves when every candidate edge took one
+    calls = []
+    contracted_value = steinerk.steiner._contracted_value
+
+    def counting(*args):
+        calls.append(args)
+        return contracted_value(*args)
+
+    monkeypatch.setattr(steinerk.steiner, "_contracted_value", counting)
+    for g, terms in _route_cases():
+        steiner_distance(g, terms)
+    assert len(calls) <= 348 // 2
+
+
+def _witness_corpus():
+    """4500 seeded queries: 1500 graphs of order 5-40 and mean degree 1-3, a
+    random spanning tree in 80 % of them (the rest mostly disconnected), and
+    three terminal sets of 2-9 vertices each."""
+    rng = random.Random(1500)
+    for _ in range(1500):
+        n = rng.randint(5, 40)
+        target = round(n * rng.uniform(1.0, 3.0) / 2)
+        edges = set()
+        if rng.random() < 0.8:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < target:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph(n, edges)
+        for _ in range(3):
+            yield g, sorted(rng.sample(range(n), rng.randint(2, min(9, n))))
+
+
+# sha256 over the corpus's (order, terminals, value, witness) reprs, recorded
+# before the greedy took certificates
+WITNESS_DIGEST = "34a27459b02777ae5ab8b40eb5a341c38286b2232e2affa4b56125f2df0a6522"
+
+
+def test_witness_digest_is_pinned():
+    digest = hashlib.sha256()
+    general = unreachable = 0
+    for g, terms in _witness_corpus():
+        res = steiner_distance(g, terms)
+        digest.update(repr((g.order, terms, res.distance, res.tree_edges)).encode())
+        general += res.distance != INFINITE and res.distance > len(terms)
+        unreachable += res.distance == INFINITE
+    assert general >= 2000 and unreachable >= 300, (general, unreachable)
+    assert digest.hexdigest() == WITNESS_DIGEST
+
+
 def test_two_terminal_witness_builds_no_table():
     # k = 2 answers by BFS, so its witness builds no superset table either.
     # Two shortest 3-15 paths tie at 12 edges; the one through 0 is lexmin.
@@ -133,28 +201,34 @@ def test_two_terminal_witness_builds_no_table():
 
 
 @pytest.mark.parametrize(
-    "terms, table_misses",
-    [([0, 3, 6, 8, 12], 0), ([0, 1, 3, 5, 6, 8, 9, 10, 12], 1)],
+    "seed, terms, table_misses",
+    [(234, [1, 4, 6, 9, 12], 0), (94, [0, 3, 5, 6, 7, 8, 10, 11, 12], 1)],
     ids=["k5_dp", "k9_table"],
 )
-def test_contracted_tables_stay_out_of_cache(terms, table_misses):
+def test_contracted_tables_stay_out_of_cache(seed, terms, table_misses, monkeypatch):
     # at order 13 a query reads the superset table only where 2^13 <= 3^k, so
     # k = 5 takes the DP and k = 9 the table. The greedy's contracted re-solves
-    # may build one-off tables too; each is read once, so only the query's own
+    # build one-off tables here too; each is read once, so only the query's own
     # table goes through the shared cache
-    rng = random.Random(0)
+    rng = random.Random(seed)
     g = Graph(13, {(rng.randrange(v), v) for v in range(1, 13)} | {(2, 9), (4, 11)})
+    one_off = []
+    build = _superset_table.__wrapped__
+    monkeypatch.setattr(_superset_table, "__wrapped__", lambda h: one_off.append(h) or build(h))
     misses = _superset_table.cache_info().misses
     res = steiner_distance(g, terms)
     assert res.distance > len(terms)
     assert is_valid_tree(g, res.tree_edges, terms)
+    assert one_off
     assert _superset_table.cache_info().misses == misses + table_misses
 
 
 def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
-    # the greedy's contracted graphs here have order 17-20 and |need| large
+    # the greedy's contracted graphs here have order up to 17 and |need| large
     # enough that 2^order <= 3^|need|, so each reads a one-off table and none
-    # runs the pure-Python Dreyfus-Wagner DP
+    # runs the Dreyfus-Wagner DP. On path(20) the first certificate is already
+    # the witness, so nothing is re-solved; on cycle(20) two 3-edge gaps tie and
+    # the certificate skips the gap the witness keeps
     built = []
     dreyfus_wagner = steinerk.steiner._dreyfus_wagner_table
 
@@ -162,10 +236,17 @@ def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
         built.append(g.order)
         return dreyfus_wagner(g, sup)
 
+    one_off = []
+    build = _superset_table.__wrapped__
+    monkeypatch.setattr(_superset_table, "__wrapped__", lambda h: one_off.append(h.order) or build(h))
     monkeypatch.setattr(steinerk.steiner, "_dreyfus_wagner_table", counting)
     terms = [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16, 18, 19]
     res = steiner_distance(path(20), terms)
     assert res == (19, path(20).edges)
+    ring = cycle(20)
+    res = steiner_distance(ring, [v for v in range(20) if v not in (2, 3, 10, 18, 19)])
+    assert res == (17, tuple(e for e in ring.edges if e not in {(1, 2), (2, 3), (3, 4)}))
+    assert [n for n in one_off if n > 16]
     assert [n for n in built if n > 16] == []
 
 
