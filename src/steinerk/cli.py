@@ -52,11 +52,6 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: an integer of at least 1, capped at the CPU count."""
-    return min(_at_least_one(text), os.cpu_count() or 1)
-
-
 def _num(x: float) -> str:
     if x == INFINITE:
         return "inf"
@@ -133,6 +128,8 @@ def _cmd_sdiam(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.first == "-" and args.second == "-":
+        raise ValueError("-G and -H cannot both read stdin; give one of them a file")
     g = _read_graph(args.first)
     h = _read_graph(args.second)
     if (args.terminals is None) == (args.k is None):
@@ -208,7 +205,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sdiam", help="Steiner k-diameter with witness set and tree")
     p.add_argument("-g", "--graph", default="-", help="graph JSON file, - for stdin")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1)
     p.add_argument("--no-witness", action="store_true")
     p.set_defaults(func=_cmd_sdiam)
 
@@ -227,7 +224,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=_at_least_one, default=CorpusSpec.pair_count)
     p.add_argument("--sets", type=_at_least_one, default=CorpusSpec.sets_per_instance)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="per-k closed-form table for a named family")
@@ -236,7 +233,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_table)
 
     return parser

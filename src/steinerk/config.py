@@ -1,4 +1,5 @@
-"""Solver guard limits: two overridable by environment variable, the rest constants."""
+"""Solver guard limits: two overridable by environment variable, the rest constants;
+and the cap on worker-pool sizes."""
 
 from __future__ import annotations
 
@@ -44,6 +45,12 @@ def oracle_guard() -> int:
 
 def spectrum_limit() -> int:
     return SPECTRUM_LIMIT
+
+
+def pool_size(jobs: int) -> int:
+    """Workers for a pool asked for jobs: at least 1 and at most the CPU count,
+    since a forked pool starts every worker at its first task."""
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def check_order(order: int) -> None:

@@ -136,7 +136,7 @@ def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distanc
 
 def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
     total = math.comb(g.order, k)
-    workers = max(1, min(jobs, total))
+    workers = min(config.pool_size(jobs), total)
     if workers == 1:
         value, neg_mask = _sweep_slice(g, k, 0, total)
         return value, -neg_mask

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,14 +191,13 @@ def _superset_table(g: Graph) -> np.ndarray:
     return best
 
 
-def _one_extra_connects(g: Graph, sup: Sequence[int]) -> bool:
+def _extra_vertices(g: Graph, sup: Sequence[int]) -> Iterator[int]:
+    """The vertices outside sup that join it into a connected induced
+    subgraph, ascending, one search per vertex."""
     sset = set(sup)
     for v in range(g.order):
-        if v in sset:
-            continue
-        if _induced_connected(g, list(sup) + [v]):
-            return True
-    return False
+        if v not in sset and _induced_connected(g, [*sup, v]):
+            yield v
 
 
 def _meet_vertex_value(g: Graph, sup: Sequence[int]) -> int:
@@ -359,7 +358,7 @@ def _steiner_value(
         return int(row[sup[1]])
     if _induced_connected(g, sup):
         return k - 1
-    if _one_extra_connects(g, sup):
+    if next(_extra_vertices(g, sup), None) is not None:
         return k
     if _reads_table(g, k):
         mask = 0
@@ -461,33 +460,30 @@ def _min_tree(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]
     return sorted(tree)
 
 
-class _Trial(NamedTuple):
-    """A contracted re-solve: its value and, where the value is finite and
-    above 0, the contracted graph, its terminals, the root of the forced forest
-    behind each contracted vertex, and the non-excluded original edges,
-    ascending, between each pair of roots."""
-    value: Distance
-    graph: Graph | None = None
-    need: tuple[int, ...] = ()
-    roots: tuple[int, ...] = ()
-    originals: dict[tuple[int, int], list[tuple[int, int]]] | None = None
-
-
-def _contracted_value(
+def _trial(
     g: Graph,
-    terminals: Sequence[int],
-    forced: Sequence[tuple[int, int]],
+    sup: Sequence[int],
+    forced: list[tuple[int, int]],
     excluded: set[tuple[int, int]],
-) -> _Trial:
-    """Minimum Steiner tree size containing the forced forest, avoiding excluded
-    edges, with the contracted instance that gave it."""
+    budget: int,
+    usable: set[tuple[int, int]],
+) -> tuple[set[tuple[int, int]], set[tuple[int, int]]] | None:
+    """One greedy trial: None unless a Steiner tree for sup through the forced
+    forest, avoiding excluded edges, needs at most budget more edges. Else the
+    greedy's refreshed certificate and usable set, from the contracted instance
+    that decided it, each contracted edge standing for its smallest original.
+    At value k - 1 or k (k = |need|) the certificate is that instance's
+    witness, which needs no table, and usable is kept. Above k both come off
+    its Dreyfus-Wagner table, which the DP route has just built; where a
+    one-off superset table gave the value, or the forced forest already joins
+    everything, there is no certificate."""
     dsu = _DSU(range(g.order))
     for u, v in forced:
         dsu.union(u, v)
-    need_roots = {dsu.find(t) for t in terminals}
+    need_roots = {dsu.find(t) for t in sup}
     need_roots.update(dsu.find(u) for u, _ in forced)
     if len(need_roots) == 1:
-        return _Trial(0)
+        return set(), usable
     originals: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for e in g.edges:
         if e in excluded:
@@ -497,40 +493,26 @@ def _contracted_value(
             originals.setdefault((ru, rv) if ru < rv else (rv, ru), []).append(e)
     # components without a terminal, a forced edge or a usable edge are isolated
     # in the contracted graph and cannot carry the tree, so they are left out
-    roots = tuple(sorted(need_roots.union(*originals)))
+    roots = sorted(need_roots.union(*originals))
     labels = {r: i for i, r in enumerate(roots)}
     contracted = Graph(len(labels), [(labels[a], labels[b]) for a, b in originals])
-    need_t = tuple(sorted(labels[r] for r in need_roots))
-    comp = component_of(contracted, need_t[0])
-    if any(t not in comp for t in need_t):
-        return _Trial(INFINITE)
+    need = tuple(sorted(labels[r] for r in need_roots))
+    comp = component_of(contracted, need[0])
+    if any(t not in comp for t in need):
+        return None
     # a table of the contracted graph is read once, so it stays out of the shared cache
-    value = _steiner_value(contracted, need_t, _superset_table.__wrapped__)
-    return _Trial(value, contracted, need_t, roots, originals)
-
-
-def _recertify(
-    trial: _Trial, forced: list[tuple[int, int]], usable: set[tuple[int, int]]
-) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """The greedy's certificate and usable set after an accepted trial, from
-    the trial's contracted instance, each contracted edge standing for its
-    smallest original. At value k - 1 or k (k = |need|) the certificate is that
-    instance's witness, which needs no table, and usable is kept. Above k both
-    come off its Dreyfus-Wagner table, which the DP route has just built;
-    where a one-off superset table gave the value there is no certificate."""
-    g, need, value = trial.graph, trial.need, trial.value
-    if g is None or value > len(need) and _reads_table(g, len(need)):
-        return set(), usable
-
-    def originals(edge: tuple[int, int]) -> list[tuple[int, int]]:
-        return trial.originals[trial.roots[edge[0]], trial.roots[edge[1]]]
-
+    value = _steiner_value(contracted, need, _superset_table.__wrapped__)
+    if value > budget:
+        return None
     if value <= len(need):
-        tree = _lexmin_witness(g, need, value)
+        tree = _lexmin_witness(contracted, need, value)
+    elif _reads_table(contracted, len(need)):
+        return set(), usable
     else:
-        tree = _min_tree(g, need, value)
-        usable = {e for c in _optimal_edges(g, need, value) for e in originals(c)}
-    return set(forced).union(originals(e)[0] for e in tree), usable
+        tree = _min_tree(contracted, need, value)
+        usable = {e for a, b in _optimal_edges(contracted, need, value)
+                  for e in originals[roots[a], roots[b]]}
+    return set(forced).union(originals[roots[a], roots[b]][0] for a, b in tree), usable
 
 
 def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
@@ -543,16 +525,7 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
         assert tree is not None
         return tree
     if value == k:
-        sset = set(sup)
-        best: list[tuple[int, int]] | None = None
-        for v in range(g.order):
-            if v in sset:
-                continue
-            tree = lexmin_spanning_tree(g, list(sup) + [v])
-            if tree is not None and (best is None or tree < best):
-                best = tree
-        assert best is not None
-        return best
+        return min(lexmin_spanning_tree(g, [*sup, v]) for v in _extra_vertices(g, sup))
     # general case: greedy over ascending edges; keep an edge whenever a tree of
     # the optimal size through the kept forest still exists without skipped
     # edges. An edge on no minimum tree would fail its trial, and every trial
@@ -576,10 +549,10 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
         elif e not in usable or dsu.find(e[0]) == dsu.find(e[1]):
             keep = False
         else:
-            trial = _contracted_value(g, sup, chosen + [e], excluded)
-            keep = trial.value != INFINITE and trial.value + len(chosen) + 1 <= value
+            trial = _trial(g, sup, chosen + [e], excluded, value - len(chosen) - 1, usable)
+            keep = trial is not None
             if keep:
-                certificate, usable = _recertify(trial, chosen + [e], usable)
+                certificate, usable = trial
         if keep:
             chosen.append(e)
             dsu.union(e[0], e[1])

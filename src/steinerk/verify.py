@@ -1013,6 +1013,7 @@ def verify_theorem(
     corpus = corpus or CorpusSpec()
     payloads = REGISTRY[theorem_id](corpus)
     reports: list[BoundReport] = []
+    jobs = config.pool_size(jobs)
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(payloads) // (jobs * 4))

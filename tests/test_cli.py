@@ -184,6 +184,15 @@ def test_bounds_lex_k(tmp_path, capsys):
     assert out.split()[1] == "6"
 
 
+def test_bounds_factors_cannot_both_read_stdin(monkeypatch, capsys):
+    # one stdin holds one graph; the second read would find it empty
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(path(3))))
+    assert main(["bounds", "cartesian", "-G", "-", "-H", "-", "-k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "-G and -H cannot both read stdin" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_needs_exactly_one_query(tmp_path, capsys):
     gf = _write(tmp_path, "g.json", path(3))
     assert main(["bounds", "cartesian", "-G", gf, "-H", gf]) == 1
@@ -263,11 +272,23 @@ def test_jobs_below_one_exits_1(command, jobs, capsys):
     assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda c: c[0])
-def test_jobs_capped_at_cpu_count(command):
-    # parse only: a pool of this size is never started
-    args = _build_parser().parse_args(command + ["--jobs", "100000"])
-    assert args.jobs == (os.cpu_count() or 1)
+# each opens a pool for --jobs above 1: cycle(23) is above the spectrum limit,
+# so sdiam and table sweep its k-sets, and Example1 has three payloads
+POOL_COMMANDS = {
+    "sdiam": ["sdiam", "-k", "3"],
+    "verify": ["verify", "--theorem", "Example1"],
+    "table": ["table", "--family", "cycle", "--params", "23", "--kmin", "3", "--kmax", "3"],
+}
+
+
+@pytest.mark.parametrize("command", POOL_COMMANDS)
+def test_jobs_capped_at_cpu_count(command, pool_sizes, monkeypatch):
+    # the library caps the pool, so a huge --jobs asks for no more workers
+    # than there are CPUs; the pool stand-in starts none at all
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(cycle(23))))
+    assert main(POOL_COMMANDS[command] + ["--jobs", "100000"]) == 0
+    cpus = os.cpu_count() or 1
+    assert pool_sizes == ([cpus] if cpus > 1 else [])
 
 
 @pytest.mark.parametrize(

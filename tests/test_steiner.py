@@ -234,19 +234,18 @@ def _dw_cases():
     yield path(40), [0, 17, 39]
 
 
-def test_dreyfus_wagner_table_matches_reference():
-    # every row and the 1 << 30 sentinel included, on both sides of the grow
-    # rule: the min-plus product where n^2 <= 2^k (n + 2m), the BFS otherwise
-    dense = sparse = disconnected = 0
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_dreyfus_wagner_table_matches_reference(dense, monkeypatch):
+    # every row and the 1 << 30 sentinel included, with each grow step forced
+    # on every case: the min-plus product, or the BFS, whichever the rule
+    # n^2 <= 2^k (n + 2m) would pick
+    monkeypatch.setattr(steinerk.steiner, "_reads_apsp", lambda g, k: dense)
+    disconnected = 0
     for g, sup in _dw_cases():
         got = _dreyfus_wagner_table(g, sup)
         assert got.tolist() == reference_dreyfus_wagner_table(g, sup), (g.edges, sup)
-        if g.order ** 2 <= (1 << len(sup)) * (g.order + 2 * len(g.edges)):
-            dense += 1
-        else:
-            sparse += 1
         disconnected += not is_connected(g)
-    assert dense >= 40 and sparse >= 40 and disconnected >= 40, (dense, sparse, disconnected)
+    assert disconnected >= 40, disconnected
 
 
 def _components():

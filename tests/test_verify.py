@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from steinerk import (
     closed_form_table,
     reports_to_csv,
     reports_to_json,
+    steiner_k_diameter,
     table_to_csv,
     table_to_json,
     theorem_ids,
     verify_theorem,
 )
+from steinerk.families import cycle
 from steinerk.verify import _valid_tree, random_connected_graph
 from strategies import is_valid_tree
 
@@ -99,6 +102,21 @@ def test_parallel_run_matches_sequential():
         seq = verify_theorem(tid, SMALL, jobs=1)
         par = verify_theorem(tid, SMALL, jobs=2)
         assert _stable(seq) == _stable(par), tid
+
+
+def test_pools_are_capped_at_the_cpu_count(pool_sizes):
+    # a forked pool starts every worker it is asked for, so the library caps
+    # the count itself; C(23, 3) = 1771 sweep slices would otherwise each get one
+    g = cycle(23)
+    assert steiner_k_diameter(g, 3, jobs=10**6) == steiner_k_diameter(g, 3, jobs=1)
+    spec = FamilySpec("cycle", (23,))
+    wide, narrow = (closed_form_table(spec, [3], jobs=jobs) for jobs in (10**6, 1))
+    assert [(r.computed, r.verdict) for r in wide] == [(r.computed, r.verdict) for r in narrow]
+    for tid in ("Example1", "Prop4.1"):
+        assert _stable(verify_theorem(tid, SMALL, jobs=10**6)) == _stable(
+            verify_theorem(tid, SMALL, jobs=1)), tid
+    cpus = os.cpu_count() or 1
+    assert pool_sizes == ([cpus] * 4 if cpus > 1 else [])
 
 
 def test_guard_trips_become_skipped_rows(monkeypatch):

@@ -141,13 +141,13 @@ def test_certificates_halve_the_contracted_resolves(monkeypatch):
     # minimum trees it knows of without a re-solve; the same 64 queries ran
     # 348 re-solves when every candidate edge took one
     calls = []
-    contracted_value = steinerk.steiner._contracted_value
+    trial = steinerk.steiner._trial
 
     def counting(*args):
         calls.append(args)
-        return contracted_value(*args)
+        return trial(*args)
 
-    monkeypatch.setattr(steinerk.steiner, "_contracted_value", counting)
+    monkeypatch.setattr(steinerk.steiner, "_trial", counting)
     for g, terms in _route_cases():
         steiner_distance(g, terms)
     assert len(calls) <= 348 // 2
@@ -293,3 +293,35 @@ def test_sparse_witnesses_build_no_large_apsp(monkeypatch):
         assert len(res.tree_edges) == res.distance
         assert is_valid_tree(g, res.tree_edges, terms)
     assert n not in built
+
+
+def test_value_k_witness_tries_only_connecting_vertices(monkeypatch):
+    # three pairwise non-adjacent neighbours of one vertex cost k = 3 edges, and
+    # the witness spans them plus one vertex. Only the vertices that join them
+    # are tried: a Kruskal per vertex of the graph would run 1997 times here
+    rng = random.Random(2000)
+    n = 2000
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 3 * n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph(n, edges)
+    terms = next(
+        list(trio)
+        for c in range(n)
+        for trio in itertools.combinations(sorted(g.adj[c]), 3)
+        if not any(b in g.adj[a] for a, b in itertools.combinations(trio, 2))
+    )
+    joining = [v for v in range(n) if all(t in g.adj[v] for t in terms)]
+    tried = []
+    spanning_tree = steinerk.steiner.lexmin_spanning_tree
+
+    def counting(h, verts):
+        tried.append(verts[-1])
+        return spanning_tree(h, verts)
+
+    monkeypatch.setattr(steinerk.steiner, "lexmin_spanning_tree", counting)
+    res = steiner_distance(g, terms)
+    assert res.distance == 3
+    assert is_valid_tree(g, res.tree_edges, terms)
+    assert tried == joining
