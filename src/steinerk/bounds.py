@@ -320,9 +320,8 @@ def build_lexicographic_tree(
         hs = copies[g0]
         if len(hs) == 1:
             return SteinerResult(0, ())
-        if _induced_connected(h, hs):
-            tree = lexmin_spanning_tree(h, hs)
-            assert tree is not None
+        tree = lexmin_spanning_tree(h, hs)
+        if tree is not None:
             coord_edges = [((g0, x), (g0, y)) for x, y in tree]
         else:
             hub = (min(g.adj[g0]), 0)

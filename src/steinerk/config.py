@@ -1,15 +1,15 @@
-"""Solver guard limits: two overridable by environment variable, the rest constants;
-and the cap on worker-pool sizes."""
+"""Solver guard limits and the cap on worker-pool sizes.
+
+The limits are plain constants, read at call time: a library caller may assign
+one (say steinerk.config.DP_LIMIT) and the next query honours it. The getters
+return the constants for callers outside the package."""
 
 from __future__ import annotations
 
 import os
 
-DP_LIMIT_ENV = "STEINERK_DP_LIMIT"
-ORACLE_GUARD_ENV = "STEINERK_ORACLE_GUARD"
-
-DEFAULT_DP_LIMIT = 16  # max terminal-set support size for the subset DP
-DEFAULT_ORACLE_GUARD = 22  # max (order - support size) for superset enumeration
+DP_LIMIT = 16  # max terminal-set support size for the subset DP
+ORACLE_GUARD = 22  # max (order - support size) for superset enumeration
 SPECTRUM_LIMIT = 20  # max order for the whole-subset-lattice engine
 MAX_ORDER = 4096  # max graph order read or generated; an int32 APSP matrix is 64 MB
 
@@ -18,29 +18,18 @@ class GuardExceeded(RuntimeError):
     """An instance is larger than the configured solver guard allows."""
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def dp_limit() -> int:
-    return _env_int(DP_LIMIT_ENV, DEFAULT_DP_LIMIT)
+    return DP_LIMIT
 
 
 def check_dp_limit(size: int) -> None:
     """Raise GuardExceeded if terminal sets of this size are over the DP limit."""
-    limit = dp_limit()
-    if size > limit:
-        raise GuardExceeded(f"terminal support of size {size} exceeds the DP limit {limit}")
+    if size > DP_LIMIT:
+        raise GuardExceeded(f"terminal support of size {size} exceeds the DP limit {DP_LIMIT}")
 
 
 def oracle_guard() -> int:
-    return _env_int(ORACLE_GUARD_ENV, DEFAULT_ORACLE_GUARD)
+    return ORACLE_GUARD
 
 
 def spectrum_limit() -> int:

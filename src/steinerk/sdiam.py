@@ -1,13 +1,15 @@
 """Steiner k-eccentricity, k-radius, and k-diameter by subset enumeration.
 
 Two strategies: small graphs answer every k at once from the connected-superset
-table; larger graphs sweep k-subsets in colex order with connectivity shortcuts
-(induced-connected sets cost k-1, one-extra-vertex sets cost k) before the DP."""
+table; larger graphs sweep k-subsets in colex (ascending bitmask) order with
+connectivity shortcuts (induced-connected sets cost k-1, one-extra-vertex sets
+cost k) before the DP. Colex order makes the first attaining set the smallest
+one. A pooled sweep gives each task the sets with one largest vertex, which are
+one contiguous colex run; jobs below 2 sweep in-process."""
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -72,31 +74,16 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     return top - 1, first
 
 
-def _colex_masks(n: int, start: int, count: int | None = None):
+def _colex_masks(n: int, start: int):
     """Bitmasks of n-set subsets of start's size, from start upward in ascending
     numeric (colex) order."""
     mask = start
     limit = 1 << n
-    emitted = 0
-    while mask < limit and (count is None or emitted < count):
+    while mask < limit:
         yield mask
-        emitted += 1
         c = mask & -mask
         r = mask + c
         mask = (((r ^ mask) >> 2) // c) | r
-
-
-def _colex_unrank(n: int, k: int, rank: int) -> int:
-    """Bitmask of the rank-th k-subset (0-based) in colex order."""
-    mask = 0
-    remaining = rank
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= remaining:
-            c += 1
-        mask |= 1 << c
-        remaining -= math.comb(c, i)
-    return mask
 
 
 def _component_labels(g: Graph) -> list[int]:
@@ -109,14 +96,17 @@ def _component_labels(g: Graph) -> list[int]:
     return labels
 
 
-def _sweep_values(
-    g: Graph, k: int, start: int = 0, count: int | None = None, require: int | None = None
-):
-    """(value, mask) of count k-sets (all by default) from the start-th in colex
-    order, skipping sets without vertex require if given. Stops after the first
-    set that spans two components, whose value is INFINITE."""
+def _sweep_values(g: Graph, k: int, top: int | None = None, require: int | None = None):
+    """(value, mask) of the k-sets in colex order (only those whose largest vertex
+    is top, if given), skipping sets without vertex require if given. Stops after
+    the first set that spans two components, whose value is INFINITE."""
     labels = _component_labels(g)
-    for mask in _colex_masks(g.order, _colex_unrank(g.order, k, start), count):
+    if top is None:
+        masks = _colex_masks(g.order, (1 << k) - 1)
+    else:
+        # the sets whose largest vertex is top are one colex run, up to 2 << top
+        masks = _colex_masks(top + 1, (1 << (k - 1)) - 1 | 1 << top)
+    for mask in masks:
         if require is not None and not (mask >> require) & 1:
             continue
         terms = _mask_to_set(mask)
@@ -127,25 +117,22 @@ def _sweep_values(
         yield _steiner_value(g, terms), mask
 
 
-def _sweep_slice(g: Graph, k: int, start_rank: int, count: int) -> tuple[Distance, int]:
-    """Best (value, -mask) over one colex slice of k-subsets: the largest value,
-    then the smallest attaining mask. Ascending masks make the first unreachable
-    set the slice's answer."""
-    return max((value, -mask) for value, mask in _sweep_values(g, k, start_rank, count))
+def _sweep_best(g: Graph, k: int, top: int | None = None) -> tuple[Distance, int]:
+    """Best (value, -mask) over the k-sets (those whose largest vertex is top, if
+    given): the largest value, then the smallest attaining mask. Ascending masks
+    make the first unreachable set the answer."""
+    return max((value, -mask) for value, mask in _sweep_values(g, k, top))
 
 
 def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
-    total = math.comb(g.order, k)
-    workers = min(config.pool_size(jobs), total)
+    tops = range(g.order - 1, k - 2, -1)  # slice top has C(top, k - 1) sets: largest first
+    workers = min(config.pool_size(jobs), len(tops))
     if workers == 1:
-        value, neg_mask = _sweep_slice(g, k, 0, total)
+        value, neg_mask = _sweep_best(g, k)
         return value, -neg_mask
-    chunk = (total + workers - 1) // workers
-    starts = range(0, total, chunk)
-    counts = [min(chunk, total - start) for start in starts]
     # the graph pickles itself through __getstate__, so each slice task carries it
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        value, neg_mask = max(pool.map(partial(_sweep_slice, g, k), starts, counts))
+        value, neg_mask = max(pool.map(partial(_sweep_best, g, k), tops))
     return value, -neg_mask
 
 
@@ -176,16 +163,17 @@ def steiner_k_radius(g: Graph, k: int) -> Distance:
 
 
 def steiner_k_diameter(
-    g: Graph, k: int, *, jobs: int | None = 1, witness: bool = True
+    g: Graph, k: int, *, jobs: int = 1, witness: bool = True
 ) -> SdiamResult:
     """Maximum Steiner distance over all k-subsets, with the smallest attaining
-    subset (by bitmask) and its witness tree."""
+    subset (by bitmask) and its witness tree. A sweep (order above the spectrum
+    limit) uses a pool of up to jobs workers, capped at the CPU count."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
         value, mask = _spectrum_extreme(g, k, None)
     else:
         config.check_dp_limit(k)
-        value, mask = _sweep_extreme(g, k, jobs or os.cpu_count() or 1)
+        value, mask = _sweep_extreme(g, k, jobs)
     witness_set = _mask_to_set(mask)
     tree: tuple[tuple[int, int], ...] = ()
     if witness and value != INFINITE:

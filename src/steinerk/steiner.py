@@ -598,7 +598,7 @@ def steiner_distance_oracle(g: Graph, terminals: Iterable[int]) -> SteinerResult
     spanning tree as a witness.
     """
     sup = _validate_terminals(g, terminals)
-    margin = config.oracle_guard()
+    margin = config.ORACLE_GUARD
     if g.order - len(sup) > margin:
         raise config.GuardExceeded(
             f"order {g.order} minus support {len(sup)} exceeds the enumeration guard {margin}"

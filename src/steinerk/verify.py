@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import bounds as bd
 from . import config
-from .config import GuardExceeded, oracle_guard
+from .config import GuardExceeded
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
     INFINITE,
@@ -82,6 +82,10 @@ NAMED_FAMILIES = (
     FamilySpec("petersen", ()),
     FamilySpec("grid", (3, 4)),
 )
+# a set is cross-checked against the superset oracle only when the product has at
+# most this many non-terminal vertices, so that one check enumerates at most 2^14
+# supersets; it is also capped by the oracle's own, larger guard
+ORACLE_CROSS_CHECK = 14
 
 
 def _rng(corpus: CorpusSpec, salt: int) -> random.Random:
@@ -283,7 +287,8 @@ def _ev_set(p: dict) -> list[BoundReport]:
     inst = f"{stem} S={_set_str(ids)}"
     rows = [_mk(tid, inst, *SET_RULES[tid](g, h, pairs, exact), t0)]
     # optionally cross-checked against the superset oracle
-    if p.get("oracle") and prod.order - len(support(ids)) <= min(14, oracle_guard()):
+    cap = min(ORACLE_CROSS_CHECK, config.ORACLE_GUARD)
+    if p.get("oracle") and prod.order - len(support(ids)) <= cap:
         t1 = time.perf_counter()
         oracle = steiner_distance_oracle(prod, ids)[0]
         rows.append(_mk(tid, inst + " oracle", oracle, exact, oracle, t1))

@@ -1,16 +1,23 @@
+import itertools
+import math
+import random
+
 import pytest
 
+import steinerk.sdiam
 from steinerk import (
     INFINITE,
     GuardExceeded,
     Graph,
+    config,
     steiner_distance,
     steiner_eccentricity,
     steiner_k_diameter,
     steiner_k_radius,
 )
 from steinerk.families import cycle, path, petersen, star
-from steinerk.sdiam import _masks_by_size
+from steinerk.sdiam import _masks_by_size, _sweep_values
+from steinerk.verify import random_connected_graph
 
 from strategies import off_table
 
@@ -114,7 +121,7 @@ def test_spectrum_and_sweep_agree(name):
 
 def test_sweeps_honour_dp_limit(monkeypatch):
     # cycle(23) is above the spectrum limit; the guard trips before any set is solved
-    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    monkeypatch.setattr(config, "DP_LIMIT", 3)
     g = cycle(23)
     with pytest.raises(GuardExceeded, match="DP limit 3"):
         steiner_k_diameter(g, 4, witness=False)
@@ -131,3 +138,63 @@ def test_sweeps_honour_dp_limit(monkeypatch):
 def test_masks_by_size_lists_each_size_ascending(n):
     want = [m for k in range(n + 1) for m in range(1 << n) if bin(m).count("1") == k]
     assert _masks_by_size(n).tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slices_by_largest_vertex_partition_the_sweep(seed):
+    # the k-sets whose largest vertex is j are one colex run; the runs for
+    # j = k-1 .. n-1, joined, are the whole sweep in order
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 8 + seed, rng.uniform(0.2, 0.6))
+    for k in range(2, 6):
+        joined = [vm for j in range(k - 1, g.order) for vm in _sweep_values(g, k, top=j)]
+        assert joined == list(_sweep_values(g, k))
+        assert len(joined) == math.comb(g.order, k)
+
+
+def _connected_but(order, isolated):
+    """A path over every vertex but the isolated one."""
+    rest = [v for v in range(order) if v != isolated]
+    return Graph(order, list(zip(rest, rest[1:])))
+
+
+POOLED_DISCONNECTED = {
+    # only the sets holding the last vertex are unreachable: the last slice
+    "last-isolated": (_connected_but(9, 8), (0, 1, 8)),
+    # the first unreachable set has largest vertex 5, a middle slice; later
+    # slices each stop at a larger unreachable set of their own
+    "middle-isolated": (_connected_but(9, 5), (0, 1, 5)),
+    # the even and the odd vertices: the first set, in the first slice, spans both
+    "interleaved": (Graph(10, [(v, v + 2) for v in range(8)]), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", POOLED_DISCONNECTED)
+def test_pooled_sweep_finds_the_first_unreachable_set(name):
+    g, first = POOLED_DISCONNECTED[name]
+    seq = off_table(steiner_k_diameter, g, 3, jobs=1)
+    assert seq.value == INFINITE and seq.witness_set == first
+    assert off_table(steiner_k_diameter, g, 3, jobs=2) == seq
+    for k in (2, 4):
+        assert off_table(steiner_k_diameter, g, k, jobs=2) == off_table(
+            steiner_k_diameter, g, k, jobs=1)
+
+
+def test_in_process_sweep_solves_every_set_in_colex_order(monkeypatch):
+    solved = []
+
+    def recording(g, terms):
+        solved.append(sum(1 << t for t in terms))
+        return real(g, terms)
+
+    real = steinerk.sdiam._steiner_value
+    monkeypatch.setattr(steinerk.sdiam, "_steiner_value", recording)
+    assert steiner_k_diameter(cycle(23), 3, jobs=1, witness=False).value == 15
+    want = sorted(sum(1 << v for v in c) for c in itertools.combinations(range(23), 3))
+    assert solved == want
+
+
+def test_jobs_below_two_sweep_in_process(pool_sizes):
+    g = cycle(23)
+    assert steiner_k_diameter(g, 3, jobs=0) == steiner_k_diameter(g, 3, jobs=1)
+    assert pool_sizes == []

@@ -11,6 +11,7 @@ from steinerk import (
     GuardExceeded,
     INFINITE,
     Graph,
+    config,
     distance,
     steiner_distance,
     steiner_distance_oracle,
@@ -124,18 +125,18 @@ def test_dp_guard_trips_beyond_limits():
         steiner_distance(g, terms)
 
 
-def test_guard_env_override(monkeypatch):
-    # guards read the environment at call time, not import time
-    monkeypatch.setenv("STEINERK_ORACLE_GUARD", "2")
+def test_guard_is_read_at_call_time(monkeypatch):
+    # guards read config's constants at call time, not import time
+    monkeypatch.setattr(config, "ORACLE_GUARD", 2)
     with pytest.raises(GuardExceeded):
         steiner_distance_oracle(cycle(8), [0, 4])
-    monkeypatch.setenv("STEINERK_ORACLE_GUARD", "22")
+    monkeypatch.setattr(config, "ORACLE_GUARD", 22)
     assert steiner_distance_oracle(cycle(8), [0, 4]).distance == 4
 
 
 def test_dp_limit_argument_override(monkeypatch):
     # spectrum handles order <= 20; pushing both limits down forces the guard
-    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    monkeypatch.setattr(config, "DP_LIMIT", 3)
     with pytest.raises(GuardExceeded):
         off_table(steiner_distance, path(12), [0, 3, 7, 11])
 

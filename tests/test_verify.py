@@ -9,6 +9,7 @@ from steinerk import (
     CorpusSpec,
     FamilySpec,
     closed_form_table,
+    config,
     reports_to_csv,
     reports_to_json,
     steiner_k_diameter,
@@ -120,7 +121,7 @@ def test_pools_are_capped_at_the_cpu_count(pool_sizes):
 
 
 def test_guard_trips_become_skipped_rows(monkeypatch):
-    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    monkeypatch.setattr(config, "DP_LIMIT", 3)
     reports = verify_theorem("Thm2.1", CorpusSpec(pair_count=4, sets_per_instance=2))
     assert all(r.verdict != "FAIL" for r in reports)
     skipped = [r for r in reports if r.verdict == "SKIPPED"]
@@ -130,7 +131,7 @@ def test_guard_trips_become_skipped_rows(monkeypatch):
 def test_guard_trip_skips_only_its_own_row(monkeypatch):
     # the order-27 (3,3,3) products trip the lowered DP limit at k=3; each one
     # becomes its own labelled SKIPPED row, and every other row still reports
-    monkeypatch.setenv("STEINERK_DP_LIMIT", "2")
+    monkeypatch.setattr(config, "DP_LIMIT", 2)
     reports = verify_theorem("Prop4.5")
     assert len(reports) == 10
     assert all(r.verdict == "PASS" for r in reports[:-2])
@@ -194,7 +195,7 @@ def test_table_skips_oversized_sweeps():
 
 def test_table_sweep_over_dp_limit_is_skipped(monkeypatch):
     # torus 3x7 has order 21, so k=4 takes the sweep route, which honours the guard
-    monkeypatch.setenv("STEINERK_DP_LIMIT", "3")
+    monkeypatch.setattr(config, "DP_LIMIT", 3)
     rows = closed_form_table(FamilySpec("torus", (3, 7)), [4])
     assert [r.verdict for r in rows] == ["SKIPPED"]
     assert rows[0].reason == "terminal support of size 4 exceeds the DP limit 3"
