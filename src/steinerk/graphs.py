@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import config
@@ -115,25 +116,28 @@ def diameter(g: Graph) -> float:
     return max(eccentricity(g, v) for v in range(g.order))
 
 
-def component_of(g: Graph, v: int) -> set[int]:
-    """Vertex set of the connected component containing v."""
-    check_vertex(g, v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+@lru_cache(maxsize=8)
+def component_labels(g: Graph) -> tuple[int, ...]:
+    """Each vertex's connected component, named by its smallest vertex: one
+    search per component, linear in order plus size. An entry keeps its graph
+    alive, so the cache is as small as the distance-matrix cache."""
+    labels = [-1] * g.order
+    for v in range(g.order):
+        if labels[v] < 0:
+            labels[v] = v
+            stack = [v]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if labels[w] < 0:
+                        labels[w] = v
+                        stack.append(w)
+    return tuple(labels)
 
 
 def is_connected(g: Graph) -> bool:
     """True iff g has at most one component (order 0 and 1 count as connected)."""
-    if g.order <= 1:
-        return True
-    return len(component_of(g, 0)) == g.order
+    # vertex 0's component is the only one iff every label is 0
+    return not any(component_labels(g))
 
 
 def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .graphs import INFINITE, Graph, check_vertex, component_of
+from .graphs import INFINITE, Graph, check_vertex
 from .steiner import (
     Distance,
     _popcounts,
@@ -65,13 +65,11 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
     if require_bit is not None:
         idx = idx[(idx >> require_bit) & 1 == 1]
-    vals = table[idx]
-    unreachable = vals == 255
-    if unreachable.any():
-        return INFINITE, int(idx[unreachable][0])
-    top = int(vals.max())
-    first = int(idx[int(np.argmax(vals))])
-    return top - 1, first
+    # 255, no connected superset, is the largest entry, so argmax finds the
+    # first unreachable set if there is one
+    mask = int(idx[int(np.argmax(table[idx]))])
+    best = int(table[mask])
+    return INFINITE if best == 255 else best - 1, mask
 
 
 def _colex_masks(n: int, start: int):
@@ -86,21 +84,10 @@ def _colex_masks(n: int, start: int):
         mask = (((r ^ mask) >> 2) // c) | r
 
 
-def _component_labels(g: Graph) -> list[int]:
-    """Each vertex's component, named by its smallest vertex."""
-    labels = [-1] * g.order
-    for v in range(g.order):
-        if labels[v] < 0:
-            for w in component_of(g, v):
-                labels[w] = v
-    return labels
-
-
 def _sweep_values(g: Graph, k: int, top: int | None = None, require: int | None = None):
     """(value, mask) of the k-sets in colex order (only those whose largest vertex
     is top, if given), skipping sets without vertex require if given. Stops after
     the first set that spans two components, whose value is INFINITE."""
-    labels = _component_labels(g)
     if top is None:
         masks = _colex_masks(g.order, (1 << k) - 1)
     else:
@@ -109,12 +96,10 @@ def _sweep_values(g: Graph, k: int, top: int | None = None, require: int | None 
     for mask in masks:
         if require is not None and not (mask >> require) & 1:
             continue
-        terms = _mask_to_set(mask)
-        root = labels[terms[0]]
-        if any(labels[t] != root for t in terms[1:]):
-            yield INFINITE, mask
+        value = _steiner_value(g, _mask_to_set(mask))
+        yield value, mask
+        if value == INFINITE:
             return
-        yield _steiner_value(g, terms), mask
 
 
 def _sweep_best(g: Graph, k: int, top: int | None = None) -> tuple[Distance, int]:

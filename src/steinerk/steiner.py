@@ -15,7 +15,7 @@ from .graphs import (
     Graph,
     bfs_distances,
     check_vertex,
-    component_of,
+    component_labels,
 )
 
 Distance = float  # int when finite, INFINITE otherwise
@@ -23,7 +23,6 @@ Distance = float  # int when finite, INFINITE otherwise
 _SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
 _SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or _optimal_edges chunk
 _UNREACHABLE = 1 << 20  # _apsp_matrix entry for a pair in different components
-_DW_BIG = 1 << 30  # Dreyfus-Wagner table entry where no tree exists
 
 
 class SteinerResult(NamedTuple):
@@ -97,11 +96,11 @@ def lexmin_spanning_tree(g: Graph, verts: Sequence[int]) -> list[tuple[int, int]
 # value computation
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _apsp_matrix(g: Graph) -> np.ndarray:
     """All-pairs BFS distances, unreachable pairs as the sentinel _UNREACHABLE.
     int32 holds the sum of five entries that _meet_pair_value takes, and
-    halves the cache.
+    halves the cache; eight order-MAX_ORDER matrices fill 512 MiB.
 
     Every source searches at once, one level per step: the next frontier is
     the float32 product frontier @ adjacency (BLAS) less the vertices already
@@ -296,7 +295,7 @@ def _grow_sparse(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
     """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
-    _DW_BIG where none exists (Dreyfus-Wagner), filled one subset size at a time.
+    the order n where none exists (Dreyfus-Wagner), filled one subset size at a time.
 
     Every split of a mask has smaller parts, so a whole level merges at once
     (_dw_merge) and then grows along edges. The grow step is a min-plus product
@@ -318,7 +317,7 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
     f[singles] = grow(f[singles])
     for level, bits, sel in _dw_levels(k):
         f[level] = grow(_dw_merge(f, level, bits, sel))
-    return np.where(f < n, f, np.int64(_DW_BIG))
+    return f
 
 
 @lru_cache(maxsize=1)
@@ -347,12 +346,16 @@ def _reads_apsp(g: Graph, k: int) -> bool:
 def _steiner_value(
     g: Graph, sup: Sequence[int], table: Callable[[Graph], np.ndarray] = _superset_table
 ) -> Distance:
-    """Exact Steiner distance of a support set already known to share a component,
-    by the one route that _reads_table and _reads_apsp pick; table builds g's
-    superset table where the route reads one."""
+    """Exact Steiner distance of a support set: INFINITE where it spans two
+    components of g, else by the one route that _reads_table and _reads_apsp
+    pick; table builds g's superset table where the route reads one."""
     k = len(sup)
     if k == 1:
         return 0
+    labels = component_labels(g)
+    root = labels[sup[0]]
+    if any(labels[t] != root for t in sup[1:]):
+        return INFINITE
     if k == 2:
         row = bfs_distances(g, sup[0])
         return int(row[sup[1]])
@@ -364,8 +367,8 @@ def _steiner_value(
         mask = 0
         for v in sup:
             mask |= 1 << v
-        best = int(table(g)[mask])
-        return INFINITE if best == 255 else best - 1
+        # the component holding sup is a connected superset, so best < 255
+        return int(table(g)[mask]) - 1
     if k == 3:
         return _meet_vertex_value(g, sup)
     if k == 4 and _reads_apsp(g, k):
@@ -497,9 +500,6 @@ def _trial(
     labels = {r: i for i, r in enumerate(roots)}
     contracted = Graph(len(labels), [(labels[a], labels[b]) for a, b in originals])
     need = tuple(sorted(labels[r] for r in need_roots))
-    comp = component_of(contracted, need[0])
-    if any(t not in comp for t in need):
-        return None
     # a table of the contracted graph is read once, so it stays out of the shared cache
     value = _steiner_value(contracted, need, _superset_table.__wrapped__)
     if value > budget:
@@ -574,16 +574,12 @@ def steiner_distance(
     """Minimum edge count of a connected subgraph of g containing the terminal support.
 
     Multiset terminals collapse to their support; one terminal gives 0, two give the
-    classical shortest-path distance. The witness tree breaks ties toward the
+    classical shortest-path distance, and a support spanning two components gives
+    INFINITE with no tree. The witness tree breaks ties toward the
     lexicographically smallest edge list; pass witness=False to skip extracting it.
     """
     sup = _validate_terminals(g, terminals)
     config.check_dp_limit(len(sup))
-    if len(sup) == 1:
-        return SteinerResult(0, ())
-    comp = component_of(g, sup[0])
-    if any(t not in comp for t in sup):
-        return SteinerResult(INFINITE, ())
     value = _steiner_value(g, sup)
     tree = _lexmin_witness(g, sup, value) if witness else []
     return SteinerResult(value, tuple(tree))
@@ -603,12 +599,11 @@ def steiner_distance_oracle(g: Graph, terminals: Iterable[int]) -> SteinerResult
         raise config.GuardExceeded(
             f"order {g.order} minus support {len(sup)} exceeds the enumeration guard {margin}"
         )
-    if len(sup) == 1:
-        return SteinerResult(0, ())
-    comp = component_of(g, sup[0])
-    if any(t not in comp for t in sup):
+    labels = component_labels(g)
+    root = labels[sup[0]]
+    if any(labels[t] != root for t in sup):
         return SteinerResult(INFINITE, ())
-    extras = sorted(comp - set(sup))
+    extras = [v for v in range(g.order) if labels[v] == root and v not in sup]
     for extra_count in range(len(extras) + 1):
         for combo in itertools.combinations(extras, extra_count):
             w = list(sup) + list(combo)

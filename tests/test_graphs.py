@@ -17,7 +17,7 @@ from steinerk import (
     vertex_connectivity,
 )
 from steinerk.families import complete, cycle, path, petersen, star
-from steinerk.graphs import component_of, eccentricity, is_complete, is_path_graph
+from steinerk.graphs import component_labels, eccentricity, is_complete, is_path_graph
 
 from strategies import graphs
 
@@ -56,7 +56,7 @@ def test_distance_on_known_graphs():
     two_parts = Graph(4, [(0, 1), (2, 3)])
     assert distance(two_parts, 0, 3) == INFINITE
     assert diameter(two_parts) == INFINITE
-    assert component_of(two_parts, 2) == {2, 3}
+    assert component_labels(two_parts) == (0, 0, 2, 2)
     assert not is_connected(two_parts)
 
 

@@ -194,6 +194,25 @@ def test_in_process_sweep_solves_every_set_in_colex_order(monkeypatch):
     assert solved == want
 
 
+def test_disconnected_sweep_stops_after_the_first_unreachable_set(monkeypatch):
+    # cycles on 0..14 and 15..22: every 3-set of the first is solved in colex
+    # order, then {0, 1, 15}, the first set that spans both, ends the sweep
+    solved = []
+
+    def recording(g, terms):
+        solved.append(sum(1 << t for t in terms))
+        return real(g, terms)
+
+    real = steinerk.sdiam._steiner_value
+    monkeypatch.setattr(steinerk.sdiam, "_steiner_value", recording)
+    g = Graph(23, [(v, (v + 1) % 15) for v in range(15)]
+              + [(15 + v, 15 + (v + 1) % 8) for v in range(8)])
+    res = steiner_k_diameter(g, 3, jobs=1, witness=False)
+    want = sorted(sum(1 << v for v in c) for c in itertools.combinations(range(15), 3))
+    assert solved == want + [1 | 2 | 1 << 15]
+    assert (res.value, res.witness_set) == (INFINITE, (0, 1, 15))
+
+
 def test_jobs_below_two_sweep_in_process(pool_sizes):
     g = cycle(23)
     assert steiner_k_diameter(g, 3, jobs=0) == steiner_k_diameter(g, 3, jobs=1)

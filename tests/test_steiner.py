@@ -18,7 +18,7 @@ from steinerk import (
     support,
 )
 from steinerk.families import complete, cycle, path, spider, star
-from steinerk.graphs import all_pairs_distances, is_connected
+from steinerk.graphs import all_pairs_distances, component_labels, is_connected
 from steinerk.products import cartesian_product
 from steinerk.steiner import (
     _apsp_matrix,
@@ -28,6 +28,8 @@ from steinerk.steiner import (
     _meet_pair_value,
     _meet_vertex_value,
     _popcounts,
+    _reads_table,
+    _steiner_value,
     _superset_table,
     lexmin_spanning_tree,
 )
@@ -237,14 +239,15 @@ def _dw_cases():
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 def test_dreyfus_wagner_table_matches_reference(dense, monkeypatch):
-    # every row and the 1 << 30 sentinel included, with each grow step forced
-    # on every case: the min-plus product, or the BFS, whichever the rule
-    # n^2 <= 2^k (n + 2m) would pick
+    # every row included, entries where no tree exists reading the order n,
+    # with each grow step forced on every case: the min-plus product, or the
+    # BFS, whichever the rule n^2 <= 2^k (n + 2m) would pick
     monkeypatch.setattr(steinerk.steiner, "_reads_apsp", lambda g, k: dense)
     disconnected = 0
     for g, sup in _dw_cases():
         got = _dreyfus_wagner_table(g, sup)
-        assert got.tolist() == reference_dreyfus_wagner_table(g, sup), (g.edges, sup)
+        want = [[min(x, g.order) for x in row] for row in reference_dreyfus_wagner_table(g, sup)]
+        assert got.tolist() == want, (g.edges, sup)
         disconnected += not is_connected(g)
     assert disconnected >= 40, disconnected
 
@@ -287,6 +290,55 @@ def test_apsp_matrix_matches_all_pairs_distances(case, monkeypatch):
     assert got.dtype == np.int32
     assert got.shape == (g.order, g.order)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("case", list(APSP_CASES))
+def test_component_labels_match_reachability(case):
+    # u and v share a label iff v is reachable from u; the label is the
+    # smallest reachable vertex
+    g = APSP_CASES[case][0]()
+    labels = component_labels(g)
+    assert len(labels) == g.order
+    for u, row in enumerate(all_pairs_distances(g)):
+        reach = [d != INFINITE for d in row]
+        assert [labels[v] == labels[u] for v in range(g.order)] == reach
+        assert labels[u] == reach.index(True)
+
+
+def test_apsp_cache_is_bounded():
+    # a full cache of order-MAX_ORDER int32 matrices stays within 512 MiB
+    assert _apsp_matrix.cache_info().maxsize * 4 * config.MAX_ORDER ** 2 <= 512 << 20
+
+
+# (route, k): the engine _steiner_value would pick for a support inside one
+# component. "table" runs at the largest order whose 2^n table is no dearer
+# than 3^k; the others run off the table at order 12, with the distance
+# matrix read (dense) or not
+CROSS_CASES = [
+    ("bfs", 2),
+    *(("table", k) for k in range(3, 7)),
+    ("meet_vertex", 3),
+    ("meet_pair", 4),
+    *(("dp_dense", k) for k in (5, 6)),
+    *(("dp_sparse", k) for k in range(4, 7)),
+]
+
+
+@pytest.mark.parametrize("route,k", CROSS_CASES)
+def test_steiner_value_is_infinite_across_components(route, k, monkeypatch):
+    # two paths side by side; the support holds 0..k-2 and the last vertex
+    if route == "table":
+        n = max(n for n in range(k, 21) if 1 << n <= 3 ** k)
+    else:
+        n = 12
+        monkeypatch.setattr(config, "SPECTRUM_LIMIT", 0)
+        dense = route in ("meet_pair", "dp_dense")
+        monkeypatch.setattr(steinerk.steiner, "_reads_apsp", lambda g, k: dense)
+    g = Graph(n, [(v, v + 1) for v in range(n - 1) if v + 1 != n // 2])
+    sup = (*range(k - 1), n - 1)
+    assert _reads_table(g, k) == (route == "table")
+    assert _steiner_value(g, sup) == INFINITE
+    assert steiner_distance(g, sup) == (INFINITE, ())
 
 
 def test_apsp_matrix_memory_is_bounded():
