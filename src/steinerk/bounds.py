@@ -3,7 +3,7 @@ on cartesian and lexicographic products."""
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
@@ -56,17 +56,19 @@ def _require_connected(*graphs: Graph) -> None:
 
 def drop3_parameter(elements: Iterable[int]) -> int:
     """Minimum count of distinct values left after deleting three elements
-    (with multiplicity) from the multiset."""
-    elems = list(elements)
-    k = len(elems)
-    if k < 3:
+    (with multiplicity) from the multiset: the distinct values less those
+    deleted whole, rarest first while their multiplicities fit in three."""
+    counts = sorted(Counter(elements).values())
+    if sum(counts) < 3:
         raise ValueError("drop-3 parameter needs a multiset of size >= 3")
-    best = k
-    for combo in itertools.combinations(range(k), 3):
-        removed = set(combo)
-        distinct = len({e for i, e in enumerate(elems) if i not in removed})
-        best = min(best, distinct)
-    return best
+    left = 3
+    gone = 0
+    for c in counts:
+        if c > left:
+            break
+        left -= c
+        gone += 1
+    return len(counts) - gone
 
 
 def cartesian_distance_bounds(

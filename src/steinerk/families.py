@@ -25,23 +25,6 @@ from . import config
 from .graphs import Graph
 from .products import cartesian_product, lexicographic_product
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "hypercube",
-    "petersen",
-    "grid",
-    "mesh",
-    "torus",
-    "hamming",
-    "hyper_petersen",
-    "hyper_petersen_lex",
-    "spider",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -196,6 +179,7 @@ _GENERATORS = {
     "hyper_petersen_lex": (1, hyper_petersen_lex),
     "spider": (None, spider),
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def _family_order(family: str, params: tuple[int, ...]) -> int:

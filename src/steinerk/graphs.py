@@ -36,7 +36,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # each list is ascending: a vertex's edges (u, v) with u < v come before
+        # its edges (v, w) in the sorted edge list
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._hash = hash((order, self.edges))
 
     def degree(self, v: int) -> int:

@@ -65,11 +65,11 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
     if require_bit is not None:
         idx = idx[(idx >> require_bit) & 1 == 1]
-    # 255, no connected superset, is the largest entry, so argmax finds the
+    # n, no connected superset, is the largest entry, so argmax finds the
     # first unreachable set if there is one
     mask = int(idx[int(np.argmax(table[idx]))])
     best = int(table[mask])
-    return INFINITE if best == 255 else best - 1, mask
+    return INFINITE if best == g.order else best, mask
 
 
 def _colex_masks(n: int, start: int):

@@ -22,7 +22,6 @@ Distance = float  # int when finite, INFINITE otherwise
 
 _SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
 _SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or _optimal_edges chunk
-_UNREACHABLE = 1 << 20  # _apsp_matrix entry for a pair in different components
 
 
 class SteinerResult(NamedTuple):
@@ -98,15 +97,16 @@ def lexmin_spanning_tree(g: Graph, verts: Sequence[int]) -> list[tuple[int, int]
 
 @lru_cache(maxsize=8)
 def _apsp_matrix(g: Graph) -> np.ndarray:
-    """All-pairs BFS distances, unreachable pairs as the sentinel _UNREACHABLE.
-    int32 holds the sum of five entries that _meet_pair_value takes, and
-    halves the cache; eight order-MAX_ORDER matrices fill 512 MiB.
+    """All-pairs BFS distances in edges, the order n for a pair in different
+    components (no path). int32 holds the sum of five entries that
+    _meet_pair_value takes, and halves the cache; eight order-MAX_ORDER
+    matrices fill 512 MiB.
 
     Every source searches at once, one level per step: the next frontier is
     the float32 product frontier @ adjacency (BLAS) less the vertices already
     reached. Sources go in chunks of about _SPLIT_CHUNK_ENTRIES entries."""
     n = g.order
-    dist = np.full((n, n), _UNREACHABLE, dtype=np.int32)
+    dist = np.full((n, n), n, dtype=np.int32)
     adj = np.zeros((n, n), dtype=np.float32)
     if g.edges:
         u, w = np.array(g.edges).T
@@ -140,12 +140,13 @@ def _popcounts(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _superset_table(g: Graph) -> np.ndarray:
-    """best[mask] = order of the smallest connected superset of mask, 255 if none;
-    the empty mask reads 1, the order of a single vertex.
+    """best[mask] = d(mask), the edge count of a tree on the smallest connected
+    superset of mask (its order less one), the order n where none exists; the
+    empty mask reads 0, as a single vertex does.
 
     Connectivity of every induced subgraph is computed by spreading component
     membership in parallel over all 2^order masks, then a superset-minimum
-    transform propagates sizes downward. One spreading step takes the
+    transform propagates distances downward. One spreading step takes the
     neighbourhood union of each block of _SPREAD_BLOCK vertices from a lookup
     table indexed by the block's bits of the component (Four Russians). Each
     block reads the components as the blocks before it left them, so growth
@@ -180,10 +181,10 @@ def _superset_table(g: Graph) -> np.ndarray:
         if np.array_equal(grown, comp):
             break
         comp = grown
-    best = np.where(comp == masks, _popcounts(n), np.uint8(255)).astype(np.uint8)
-    # the empty mask equals its own empty component, which would read 0 and
-    # spread 0 to nothing; as 255 it takes the minimum over all masks, 1
-    best[0] = 255
+    # a connected mask reads its popcount less one; the empty mask's wraps to
+    # the uint8 maximum, so the transform gives it the minimum over all masks, 0
+    best = np.full(1 << n, n, dtype=np.uint8)
+    np.subtract(_popcounts(n), 1, out=best, where=comp == masks)
     for b in range(n):
         half = best.reshape(-1, 2, 1 << b)
         np.minimum(half[:, 0, :], half[:, 1, :], out=half[:, 0, :])
@@ -258,8 +259,8 @@ def _dw_merge(f: np.ndarray, level: np.ndarray, bits: np.ndarray, sel: np.ndarra
 
 def _grow_dense(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows[c][v] = min over u of rows[c][u] + d(u, v), capped at the order n:
-    a min-plus product with dist, the all-pairs distances capped at n, in
-    chunks of rows."""
+    a min-plus product with dist, the all-pairs distances with n for no path,
+    in chunks of rows."""
     n = len(dist)
     step = max(1, _SPLIT_CHUNK_ENTRIES // (n * n))
     for lo in range(0, len(rows), step):
@@ -294,8 +295,9 @@ def _grow_sparse(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 
 def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
-    """f[A][v] = size of the smallest tree spanning {sup[i] : bit i of A} and v,
-    the order n where none exists (Dreyfus-Wagner), filled one subset size at a time.
+    """f[A][v] = edge count of the smallest tree spanning {sup[i] : bit i of A}
+    and v, the order n where none exists (Dreyfus-Wagner), filled one subset
+    size at a time.
 
     Every split of a mask has smaller parts, so a whole level merges at once
     (_dw_merge) and then grows along edges. The grow step is a min-plus product
@@ -308,7 +310,7 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
     k = len(sup)
     dtype = np.min_scalar_type(2 * n)
     if _reads_apsp(g, k):
-        grow = partial(_grow_dense, np.minimum(_apsp_matrix(g), n).astype(dtype))
+        grow = partial(_grow_dense, _apsp_matrix(g).astype(dtype))
     else:
         grow = partial(_grow_sparse, g)
     f = np.full((1 << k, n), n, dtype=dtype)
@@ -367,8 +369,8 @@ def _steiner_value(
         mask = 0
         for v in sup:
             mask |= 1 << v
-        # the component holding sup is a connected superset, so best < 255
-        return int(table(g)[mask]) - 1
+        # the component holding sup is a connected superset, so the entry is below n
+        return int(table(g)[mask])
     if k == 3:
         return _meet_vertex_value(g, sup)
     if k == 4 and _reads_apsp(g, k):
@@ -380,13 +382,13 @@ def _steiner_value(
 # witness extraction
 
 def _split_rows(g: Graph, sup: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The rows of the split table for sup: rows(idx)[j][v] = f[A][v], the size
-    of the smallest tree spanning v and A = {sup[i] : bit i of idx[j]}, an entry
-    of the order or more where none exists. They are read off g's superset table
-    where _reads_table holds, else off the query's Dreyfus-Wagner table."""
+    """The rows of the split table for sup: rows(idx)[j][v] = f[A][v], the
+    edge count of the smallest tree spanning v and A = {sup[i] : bit i of
+    idx[j]}, the order n where none exists. They are read off g's superset
+    table where _reads_table holds, else off the query's Dreyfus-Wagner table."""
     if not _reads_table(g, len(sup)):
         return _query_dw_table(g, tuple(sup)).__getitem__
-    # f[A][v] = best[mask(A) | 1 << v] - 1
+    # f[A][v] = best[mask(A) | 1 << v]
     masks = np.zeros(1, dtype=np.int64)
     for t in sup:
         masks = np.concatenate((masks, masks | (1 << t)))
@@ -394,7 +396,7 @@ def _split_rows(g: Graph, sup: Sequence[int]) -> Callable[[np.ndarray], np.ndarr
     table = _superset_table(g)
 
     def rows(idx: np.ndarray) -> np.ndarray:
-        return table[masks[idx, None] | vbits].astype(np.int32) - 1
+        return table[masks[idx, None] | vbits]
     return rows
 
 

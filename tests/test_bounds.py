@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,20 @@ def test_drop3_examples():
     # at k=3 nothing survives the deletion
     assert drop3_parameter([7, 7, 7]) == 0
     assert drop3_parameter([1, 2, 3]) == 0
+
+
+def _drop3_by_enumeration(elems):
+    """Reference: the fewest distinct values over every choice of three
+    positions to delete."""
+    return min(
+        len({e for i, e in enumerate(elems) if i not in combo})
+        for combo in itertools.combinations(range(len(elems)), 3)
+    )
+
+
+@given(st.lists(st.integers(0, 5), min_size=3, max_size=10))
+def test_drop3_matches_enumeration(elems):
+    assert drop3_parameter(elems) == _drop3_by_enumeration(elems)
 
 
 def test_drop3_requires_three_elements():

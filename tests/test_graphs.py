@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from steinerk import (
     INFINITE,
@@ -20,6 +20,17 @@ from steinerk.families import complete, cycle, path, petersen, star
 from steinerk.graphs import component_labels, eccentricity, is_complete, is_path_graph
 
 from strategies import graphs
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+def test_adjacency_is_ascending_whatever_the_edge_order(g, rng):
+    # the edges are given shuffled, each in a random orientation
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(edges)
+    h = Graph(g.order, edges)
+    for v in range(g.order):
+        neighbours = [w for e in g.edges if v in e for w in e if w != v]
+        assert h.adj[v] == tuple(sorted(neighbours))
 
 
 def test_normalizes_and_dedupes_edges():

@@ -280,12 +280,12 @@ APSP_CASES = {
 
 @pytest.mark.parametrize("case", list(APSP_CASES))
 def test_apsp_matrix_matches_all_pairs_distances(case, monkeypatch):
-    # unreachable pairs read 1 << 20
+    # unreachable pairs read the order n
     build, chunk = APSP_CASES[case]
     if chunk is not None:
         monkeypatch.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
     g = build()
-    want = [[1 << 20 if d == INFINITE else d for d in row] for row in all_pairs_distances(g)]
+    want = [[g.order if d == INFINITE else d for d in row] for row in all_pairs_distances(g)]
     got = _apsp_matrix.__wrapped__(g)
     assert got.dtype == np.int32
     assert got.shape == (g.order, g.order)
@@ -413,11 +413,14 @@ def test_superset_table_matches_brute_force(n):
         for g in (drawn, Graph(n, list(drawn.edges) + tree)):
             table = _superset_table.__wrapped__(g)
             assert table.dtype == np.uint8
-            assert table.tolist() == _brute_superset_table(g), g.edges
+            # the table holds d(mask) in edges, n where no connected superset exists
+            want = [n if b == 255 else b - 1 for b in _brute_superset_table(g)]
+            assert table.tolist() == want, g.edges
 
 
-# sha256 of the uint8 table of _random_graph(random.Random(seed), n, 3 / (n - 1)),
-# recorded before the table build was last rewritten
+# sha256 of the uint8 table of _random_graph(random.Random(seed), n, 3 / (n - 1))
+# mapped back to superset orders (255 for none), recorded before the table
+# build was last rewritten
 TABLE_DIGESTS = {
     (16, 1): "239700bfe0eeff2ec64ad76ba92ca9b8cf617e591bd8d8c16f46f4a1cc177e03",
     (18, 2): "6f8e50b99b0d56bd4dc4c49826611634dd15c3dd01af027afd5f4b529bcc484c",
@@ -430,7 +433,8 @@ def test_superset_table_digests_are_pinned(n, seed):
     g = _random_graph(random.Random(seed), n, 3 / (n - 1))
     table = _superset_table.__wrapped__(g)
     assert table.dtype == np.uint8
-    assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[n, seed]
+    orders = np.where(table == n, 255, table + 1).astype(np.uint8)
+    assert hashlib.sha256(orders.tobytes()).hexdigest() == TABLE_DIGESTS[n, seed]
 
 
 def test_order_20_table_build_memory_is_bounded():
