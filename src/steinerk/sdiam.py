@@ -53,8 +53,19 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4)
 def _masks_by_size(n: int) -> np.ndarray:
     """Every n-bit mask, by set-bit count and ascending within a count: the
-    k-sets are the C(n, k) entries after the C(n, j) entries of each j < k."""
-    return np.argsort(_popcounts(n), kind="stable").astype(np.int32)
+    k-sets are the C(n, k) entries after the C(n, j) entries of each j < k.
+
+    One preallocated int32 array is filled one count at a time, with no int64
+    sort; at order 20, with the popcounts cached, the tracemalloc peak is
+    6.4 MiB, 4 MiB of it the index."""
+    pop = _popcounts(n)
+    out = np.empty(1 << n, dtype=np.int32)
+    start = 0
+    for j in range(n + 1):
+        stop = start + math.comb(n, j)
+        out[start:stop] = np.flatnonzero(pop == j)
+        start = stop
+    return out
 
 
 def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distance, int]:

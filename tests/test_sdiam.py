@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import steinerk.sdiam
@@ -17,6 +19,7 @@ from steinerk import (
 )
 from steinerk.families import cycle, path, petersen, star
 from steinerk.sdiam import _masks_by_size, _sweep_values
+from steinerk.steiner import _popcounts
 from steinerk.verify import random_connected_graph
 
 from strategies import off_table
@@ -134,10 +137,28 @@ def test_sweeps_honour_dp_limit(monkeypatch):
     assert steiner_k_diameter(g, 3, witness=False).value == 15
 
 
-@pytest.mark.parametrize("n", [1, 5, 11])
+@pytest.mark.parametrize("n", [0, 1, 5, 11, 16, 20])
 def test_masks_by_size_lists_each_size_ascending(n):
-    want = [m for k in range(n + 1) for m in range(1 << n) if bin(m).count("1") == k]
-    assert _masks_by_size(n).tolist() == want
+    got = _masks_by_size(n)
+    assert got.dtype == np.int32
+    if n <= 11:
+        want = [m for k in range(n + 1) for m in range(1 << n) if bin(m).count("1") == k]
+        assert got.tolist() == want
+    else:
+        # a stable sort by set-bit count gives the same order
+        assert np.array_equal(got, np.argsort(_popcounts(n), kind="stable"))
+
+
+def test_order_20_masks_by_size_memory_is_bounded():
+    _popcounts(20)  # cached across calls, so not part of the index's cost
+    tracemalloc.start()
+    try:
+        _masks_by_size.__wrapped__(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the index itself is 4 MiB of int32
+    assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -403,9 +403,11 @@ def _brute_superset_table(g):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_superset_table_matches_brute_force(n):
-    # orders 11 and 12 span two lookup-table blocks; sparse draws are disconnected,
-    # and each draw is also taken with a random spanning tree added
+def test_superset_table_matches_brute_force(n, monkeypatch):
+    # orders 11 and 12 span two lookup-table groups, and blocks of 24 masks make
+    # orders 5-12 cross block boundaries, the last block ragged; sparse draws are
+    # disconnected, and each draw is also taken with a random spanning tree added
+    monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", 24)
     rng = random.Random(n)
     for p in (0.1, 0.25, 0.5, 0.9):
         drawn = _random_graph(rng, n, p)
@@ -446,4 +448,4 @@ def test_order_20_table_build_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 4 << 20, f"peak {peak / 2**20:.1f} MiB"
