@@ -1,17 +1,20 @@
 """Steiner k-eccentricity, k-radius, and k-diameter by subset enumeration.
 
 Two strategies: small graphs answer every k at once from the connected-superset
-table; larger graphs sweep k-subsets in colex (ascending bitmask) order with
-connectivity shortcuts (induced-connected sets cost k-1, one-extra-vertex sets
-cost k) before the DP. Colex order makes the first attaining set the smallest
-one. A pooled sweep gives each task the sets with one largest vertex, which are
-one contiguous colex run; jobs below 2 sweep in-process."""
+table, whose bitmask index the table route keeps; larger graphs sweep the
+k-sets as ascending tuples in colex order (by largest vertex, then by the rest
+in colex order, which is ascending bitmask order) with connectivity shortcuts
+(induced-connected sets cost k-1, one-extra-vertex sets cost k) before the DP.
+The first set in that order that attains the maximum is the answer. A pooled
+sweep gives each task the sets with one largest vertex, which are one
+contiguous colex run; jobs below 2 sweep in-process."""
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -37,17 +40,6 @@ class SdiamResult(NamedTuple):
 def _check_k(g: Graph, k: int) -> None:
     if not 2 <= k <= g.order:
         raise ValueError(f"k must satisfy 2 <= k <= {g.order}, got {k}")
-
-
-def _mask_to_set(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 @lru_cache(maxsize=4)
@@ -83,53 +75,51 @@ def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distan
     return INFINITE if best == g.order else best, mask
 
 
-def _colex_masks(n: int, start: int):
-    """Bitmasks of n-set subsets of start's size, from start upward in ascending
-    numeric (colex) order."""
-    mask = start
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        c = mask & -mask
-        r = mask + c
-        mask = (((r ^ mask) >> 2) // c) | r
+def _colex_sets(n: int, k: int):
+    """The k-subsets of range(n) as ascending tuples in colex order: by largest
+    vertex top from k - 1 up, then the rest in colex order within range(top)."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in _colex_sets(top, k - 1):
+            yield (*rest, top)
 
 
 def _sweep_values(g: Graph, k: int, top: int | None = None, require: int | None = None):
-    """(value, mask) of the k-sets in colex order (only those whose largest vertex
+    """(value, set) of the k-sets in colex order (only those whose largest vertex
     is top, if given), skipping sets without vertex require if given. Stops after
     the first set that spans two components, whose value is INFINITE."""
     if top is None:
-        masks = _colex_masks(g.order, (1 << k) - 1)
+        sets = _colex_sets(g.order, k)
     else:
-        # the sets whose largest vertex is top are one colex run, up to 2 << top
-        masks = _colex_masks(top + 1, (1 << (k - 1)) - 1 | 1 << top)
-    for mask in masks:
-        if require is not None and not (mask >> require) & 1:
+        sets = ((*rest, top) for rest in _colex_sets(top, k - 1))
+    for s in sets:
+        if require is not None and require not in s:
             continue
-        value = _steiner_value(g, _mask_to_set(mask))
-        yield value, mask
+        value = _steiner_value(g, s)
+        yield value, s
         if value == INFINITE:
             return
 
 
-def _sweep_best(g: Graph, k: int, top: int | None = None) -> tuple[Distance, int]:
-    """Best (value, -mask) over the k-sets (those whose largest vertex is top, if
-    given): the largest value, then the smallest attaining mask. Ascending masks
-    make the first unreachable set the answer."""
-    return max((value, -mask) for value, mask in _sweep_values(g, k, top))
+def _sweep_best(g: Graph, k: int, top: int | None = None) -> tuple[Distance, tuple[int, ...]]:
+    """The largest value over the k-sets (those whose largest vertex is top, if
+    given) and the first set in colex order that attains it; max keeps the first
+    of equal keys, so the first unreachable set ends and wins the sweep."""
+    return max(_sweep_values(g, k, top), key=itemgetter(0))
 
 
-def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, int]:
+def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, tuple[int, ...]]:
     tops = range(g.order - 1, k - 2, -1)  # slice top has C(top, k - 1) sets: largest first
     workers = min(config.pool_size(jobs), len(tops))
     if workers == 1:
-        value, neg_mask = _sweep_best(g, k)
-        return value, -neg_mask
+        return _sweep_best(g, k)
     # the graph pickles itself through __getstate__, so each slice task carries it
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        value, neg_mask = max(pool.map(partial(_sweep_best, g, k), tops))
-    return value, -neg_mask
+        slices = list(pool.map(partial(_sweep_best, g, k), tops))
+    # in ascending top, the slices are the whole sweep in colex order
+    return max(reversed(slices), key=itemgetter(0))
 
 
 def steiner_eccentricity(g: Graph, v: int, k: int) -> Distance:
@@ -150,10 +140,10 @@ def steiner_k_radius(g: Graph, k: int) -> Distance:
     config.check_dp_limit(k)
     # once a k-set spans two components, so does one through every vertex
     ecc: list[Distance] = [-1] * g.order
-    for value, mask in _sweep_values(g, k):
+    for value, s in _sweep_values(g, k):
         if value == INFINITE:
             return INFINITE
-        for t in _mask_to_set(mask):
+        for t in s:
             ecc[t] = max(ecc[t], value)
     return min(ecc)
 
@@ -161,16 +151,17 @@ def steiner_k_radius(g: Graph, k: int) -> Distance:
 def steiner_k_diameter(
     g: Graph, k: int, *, jobs: int = 1, witness: bool = True
 ) -> SdiamResult:
-    """Maximum Steiner distance over all k-subsets, with the smallest attaining
-    subset (by bitmask) and its witness tree. A sweep (order above the spectrum
-    limit) uses a pool of up to jobs workers, capped at the CPU count."""
+    """Maximum Steiner distance over all k-subsets, with the first attaining
+    subset in colex order (the smallest by bitmask) and its witness tree. A
+    sweep (order above the spectrum limit) uses a pool of up to jobs workers,
+    capped at the CPU count."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
         value, mask = _spectrum_extreme(g, k, None)
+        witness_set = tuple(v for v in range(g.order) if mask >> v & 1)
     else:
         config.check_dp_limit(k)
-        value, mask = _sweep_extreme(g, k, jobs)
-    witness_set = _mask_to_set(mask)
+        value, witness_set = _sweep_extreme(g, k, jobs)
     tree: tuple[tuple[int, int], ...] = ()
     if witness and value != INFINITE:
         tree = steiner_distance(g, witness_set).tree_edges

@@ -13,7 +13,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Callable, Iterable, Sequence
 
@@ -1104,20 +1104,20 @@ def _json_num(x: float | None) -> int | float | None:
     return int(x) if float(x).is_integer() else x
 
 
-def reports_to_json(reports: Sequence[BoundReport]) -> str:
-    payload = [
-        {
-            "theorem_id": r.theorem_id,
-            "instance": r.instance,
-            "lower": _json_num(r.lower),
-            "exact": _json_num(r.exact),
-            "upper": _json_num(r.upper),
-            "verdict": r.verdict,
-            "elapsed_ms": round(r.elapsed * 1000, 3),
-            "reason": r.reason,
-        }
-        for r in reports
-    ]
+def reports_to_json(rows: Sequence[BoundReport] | Sequence[TableRow]) -> str:
+    """A JSON array of report or table rows, each field in declaration order:
+    elapsed (seconds) is written as elapsed_ms, strings pass through, and
+    numbers go through _json_num."""
+    payload = []
+    for r in rows:
+        obj: dict[str, object] = {}
+        for f in fields(r):
+            x = getattr(r, f.name)
+            if f.name == "elapsed":
+                obj["elapsed_ms"] = round(x * 1000, 3)
+            else:
+                obj[f.name] = x if isinstance(x, str) else _json_num(x)
+        payload.append(obj)
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -1132,16 +1132,4 @@ def table_to_csv(rows: Sequence[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(rows: Sequence[TableRow]) -> str:
-    payload = [
-        {
-            "k": r.k,
-            "predicted": r.predicted,
-            "computed": _json_num(r.computed),
-            "verdict": r.verdict,
-            "elapsed_ms": round(r.elapsed * 1000, 3),
-            "reason": r.reason,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+table_to_json = reports_to_json

@@ -79,6 +79,17 @@ def test_sdiam(tmp_path, capsys):
     assert main(["sdiam", "-g", gf, "-k", "9"]) == 1
 
 
+def test_sdiam_pooled_sweep_prints_the_in_process_answer(tmp_path, capsys):
+    # cycle(23) is above the spectrum limit, so both runs sweep its 3-sets
+    gf = _write(tmp_path, "g.json", cycle(23))
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["sdiam", "-g", gf, "-k", "3", "--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[:2] == ["15", "S: 0,7,15"]
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{nope")

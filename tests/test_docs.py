@@ -1,5 +1,6 @@
 """README against the code: its Guards table against the limits in
-steinerk.config, and its list of registry ids against the verify registry."""
+steinerk.config, its list of registry ids against the verify registry, and
+its Library example against the values its comments state."""
 
 import re
 from pathlib import Path
@@ -23,3 +24,13 @@ def test_guards_table_lists_every_limit():
 def test_registry_ids_block_lists_every_rule_in_order():
     block = README.read_text().split("Registry ids", 1)[1].split("```", 2)[1]
     assert tuple(block.split()) == theorem_ids()
+
+
+def test_library_example_gives_its_commented_values():
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    names: dict = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], names)
+    assert names["r"].distance == 4
+    assert (names["d"].value, names["d"].witness_set) == (4, (0, 1, 4))
+    assert names["p"].order == 28
+    assert (names["lo"], names["up"]) == (7, 7)

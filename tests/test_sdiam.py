@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
@@ -18,7 +19,7 @@ from steinerk import (
     steiner_k_radius,
 )
 from steinerk.families import cycle, path, petersen, star
-from steinerk.sdiam import _masks_by_size, _sweep_values
+from steinerk.sdiam import _colex_sets, _masks_by_size, _sweep_values
 from steinerk.steiner import _popcounts
 from steinerk.verify import random_connected_graph
 
@@ -161,6 +162,26 @@ def test_order_20_masks_by_size_memory_is_bounded():
     assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_colex_sets_are_the_combinations_by_ascending_mask(n):
+    for k in range(n + 1):
+        want = sorted(itertools.combinations(range(n), k), key=lambda s: sum(1 << v for v in s))
+        assert list(_colex_sets(n, k)) == want
+
+
+def test_sweeps_past_int64_masks(pool_sizes, monkeypatch):
+    # path(70) has vertices past bit 63, where no int64 mask reaches; two CPUs
+    # make jobs=2 merge pooled slices on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = path(70)
+    for jobs in (1, 2):
+        res = steiner_k_diameter(g, 2, jobs=jobs)
+        assert (res.value, res.witness_set) == (69, (0, 69))
+    assert pool_sizes == [2]
+    assert steiner_eccentricity(g, 0, 2) == 69
+    assert steiner_k_radius(g, 2) == 35
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_slices_by_largest_vertex_partition_the_sweep(seed):
     # the k-sets whose largest vertex is j are one colex run; the runs for
@@ -191,7 +212,9 @@ POOLED_DISCONNECTED = {
 
 
 @pytest.mark.parametrize("name", POOLED_DISCONNECTED)
-def test_pooled_sweep_finds_the_first_unreachable_set(name):
+def test_pooled_sweep_finds_the_first_unreachable_set(name, pool_sizes, monkeypatch):
+    # two CPUs make jobs=2 merge the slices on any host, in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g, first = POOLED_DISCONNECTED[name]
     seq = off_table(steiner_k_diameter, g, 3, jobs=1)
     assert seq.value == INFINITE and seq.witness_set == first
@@ -199,6 +222,7 @@ def test_pooled_sweep_finds_the_first_unreachable_set(name):
     for k in (2, 4):
         assert off_table(steiner_k_diameter, g, k, jobs=2) == off_table(
             steiner_k_diameter, g, k, jobs=1)
+    assert pool_sizes == [2] * 3
 
 
 def test_in_process_sweep_solves_every_set_in_colex_order(monkeypatch):
