@@ -1,7 +1,9 @@
 """Steiner k-eccentricity, k-radius, and k-diameter by subset enumeration.
 
-Two strategies: small graphs answer every k at once from the connected-superset
-table, whose bitmask index the table route keeps; larger graphs sweep the
+Two strategies: small graphs read the connected-superset table. The k-diameter
+of every k comes from one blocked pass over it, which keeps each set size's
+largest entry and the first mask attaining it; the k-eccentricity and k-radius
+read one k through an index of the masks by size. Larger graphs sweep the
 k-sets as ascending tuples in colex order (by largest vertex, then by the rest
 in colex order, which is ascending bitmask order) with connectivity shortcuts
 (induced-connected sets cost k-1, one-extra-vertex sets cost k) before the DP.
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import config
+from . import config, steiner
 from .graphs import INFINITE, Graph, check_vertex
 from .steiner import (
     Distance,
@@ -60,19 +62,54 @@ def _masks_by_size(n: int) -> np.ndarray:
     return out
 
 
-def _spectrum_extreme(g: Graph, k: int, require_bit: int | None) -> tuple[Distance, int]:
-    """Max Steiner distance over k-sets (containing require_bit if given) plus the
-    smallest attaining bitmask, read off the connected-superset table."""
+@lru_cache(maxsize=16)
+def _size_extremes(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each set size j, the largest superset-table entry over the j-sets
+    and the smallest mask that attains it.
+
+    Two passes over the table in blocks of _TABLE_BLOCK masks, with no index
+    of the masks by size: the first bincounts popcount * (n + 1) + entry, which
+    gives each size's maximum; the second finds each size's first mask whose
+    entry is that maximum, and stops once every size has one. At order 20,
+    with the table and the popcounts cached, the tracemalloc peak is 0.25 MiB."""
+    n = g.order
+    table = _superset_table(g)
+    pop = _popcounts(n)
+    block = steiner._TABLE_BLOCK
+    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    for start in range(0, 1 << n, block):
+        key = pop[start:start + block].astype(np.intp)
+        key *= n + 1
+        key += table[start:start + block]
+        counts += np.bincount(key, minlength=counts.size)
+    best = [int(np.flatnonzero(row)[-1]) for row in counts.reshape(n + 1, n + 1)]
+    # the one n-set is the full mask, the last of all; a size already found
+    # looks for 255, which no entry reads
+    first = [-1] * n + [(1 << n) - 1]
+    target = np.array(best[:n] + [255], dtype=np.uint8)
+    missing = n
+    for start in range(0, 1 << n, block):
+        sizes = pop[start:start + block]
+        hits = np.flatnonzero(table[start:start + block] == target[sizes])
+        found, at = np.unique(sizes[hits], return_index=True)
+        for j, i in zip(found.tolist(), hits[at].tolist()):
+            first[j] = start + i
+        target[found] = 255
+        missing -= found.size
+        if not missing:
+            break
+    return tuple(best), tuple(first)
+
+
+def _spectrum_extreme(g: Graph, k: int, v: int) -> Distance:
+    """Max Steiner distance over the k-sets through v, read off the
+    connected-superset table through the size index."""
     table = _superset_table(g)
     start = sum(math.comb(g.order, j) for j in range(k))
     idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
-    if require_bit is not None:
-        idx = idx[(idx >> require_bit) & 1 == 1]
-    # n, no connected superset, is the largest entry, so argmax finds the
-    # first unreachable set if there is one
-    mask = int(idx[int(np.argmax(table[idx]))])
-    best = int(table[mask])
-    return INFINITE if best == g.order else best, mask
+    best = int(table[idx[(idx >> v) & 1 == 1]].max())
+    # n, no connected superset, is the largest entry
+    return INFINITE if best == g.order else best
 
 
 def _colex_sets(n: int, k: int):
@@ -86,17 +123,23 @@ def _colex_sets(n: int, k: int):
             yield (*rest, top)
 
 
-def _sweep_values(g: Graph, k: int, top: int | None = None, require: int | None = None):
-    """(value, set) of the k-sets in colex order (only those whose largest vertex
-    is top, if given), skipping sets without vertex require if given. Stops after
-    the first set that spans two components, whose value is INFINITE."""
-    if top is None:
-        sets = _colex_sets(g.order, k)
-    else:
-        sets = ((*rest, top) for rest in _colex_sets(top, k - 1))
+def _top_slice(k: int, top: int):
+    """The k-sets whose largest vertex is top, in colex order: one contiguous
+    colex run of the sweep."""
+    return ((*rest, top) for rest in _colex_sets(top, k - 1))
+
+
+def _sets_through(n: int, k: int, v: int):
+    """The k-subsets of range(n) that hold v, in colex order: the colex
+    (k - 1)-subsets of the other vertices, renumbered past v, with v put in."""
+    for rest in _colex_sets(n - 1, k - 1):
+        yield tuple(sorted((v, *(u + (u >= v) for u in rest))))
+
+
+def _sweep_values(g: Graph, sets):
+    """(value, set) of each set in turn. Stops after the first set that spans
+    two components, whose value is INFINITE."""
     for s in sets:
-        if require is not None and require not in s:
-            continue
         value = _steiner_value(g, s)
         yield value, s
         if value == INFINITE:
@@ -107,7 +150,8 @@ def _sweep_best(g: Graph, k: int, top: int | None = None) -> tuple[Distance, tup
     """The largest value over the k-sets (those whose largest vertex is top, if
     given) and the first set in colex order that attains it; max keeps the first
     of equal keys, so the first unreachable set ends and wins the sweep."""
-    return max(_sweep_values(g, k, top), key=itemgetter(0))
+    sets = _colex_sets(g.order, k) if top is None else _top_slice(k, top)
+    return max(_sweep_values(g, sets), key=itemgetter(0))
 
 
 def _sweep_extreme(g: Graph, k: int, jobs: int) -> tuple[Distance, tuple[int, ...]]:
@@ -127,20 +171,20 @@ def steiner_eccentricity(g: Graph, v: int, k: int) -> Distance:
     check_vertex(g, v)
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return _spectrum_extreme(g, k, v)[0]
+        return _spectrum_extreme(g, k, v)
     config.check_dp_limit(k)
-    return max(value for value, _ in _sweep_values(g, k, require=v))
+    return max(value for value, _ in _sweep_values(g, _sets_through(g.order, k, v)))
 
 
 def steiner_k_radius(g: Graph, k: int) -> Distance:
     """Minimum Steiner k-eccentricity over all vertices."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return min(_spectrum_extreme(g, k, v)[0] for v in range(g.order))
+        return min(_spectrum_extreme(g, k, v) for v in range(g.order))
     config.check_dp_limit(k)
     # once a k-set spans two components, so does one through every vertex
     ecc: list[Distance] = [-1] * g.order
-    for value, s in _sweep_values(g, k):
+    for value, s in _sweep_values(g, _colex_sets(g.order, k)):
         if value == INFINITE:
             return INFINITE
         for t in s:
@@ -152,12 +196,17 @@ def steiner_k_diameter(
     g: Graph, k: int, *, jobs: int = 1, witness: bool = True
 ) -> SdiamResult:
     """Maximum Steiner distance over all k-subsets, with the first attaining
-    subset in colex order (the smallest by bitmask) and its witness tree. A
-    sweep (order above the spectrum limit) uses a pool of up to jobs workers,
-    capped at the CPU count."""
+    subset in colex order (the smallest by bitmask) and its witness tree. Up to
+    the spectrum limit the value and set are read from _size_extremes, one
+    cached pass over the superset table for every k; above it a sweep uses a
+    pool of up to jobs workers, capped at the CPU count."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        value, mask = _spectrum_extreme(g, k, None)
+        best, first = _size_extremes(g)
+        # n, no connected superset, is the largest entry, so the first mask of
+        # a size that holds an unreachable set is its first unreachable set
+        value = INFINITE if best[k] == g.order else best[k]
+        mask = first[k]
         witness_set = tuple(v for v in range(g.order) if mask >> v & 1)
     else:
         config.check_dp_limit(k)

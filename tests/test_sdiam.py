@@ -18,8 +18,15 @@ from steinerk import (
     steiner_k_diameter,
     steiner_k_radius,
 )
-from steinerk.families import cycle, path, petersen, star
-from steinerk.sdiam import _colex_sets, _masks_by_size, _sweep_values
+from steinerk.families import cycle, grid, hamming, path, petersen, star
+from steinerk.sdiam import (
+    _colex_sets,
+    _masks_by_size,
+    _sets_through,
+    _size_extremes,
+    _sweep_values,
+    _top_slice,
+)
 from steinerk.steiner import _popcounts
 from steinerk.verify import random_connected_graph
 
@@ -162,6 +169,56 @@ def test_order_20_masks_by_size_memory_is_bounded():
     assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _two_paths(order, cut):
+    """A path on 0..cut-1 and another on cut..order-1."""
+    return Graph(order, [(v, v + 1) for v in range(order - 1) if v + 1 != cut])
+
+
+EXTREME_CASES = {
+    **SWEEP_CASES,
+    "hamming4x4": hamming(4, 4),
+    "grid4x5": grid(4, 5),
+    "two-paths14": _two_paths(14, 6),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_CASES)
+def test_size_extremes_match_the_per_k_index(name, monkeypatch):
+    # blocks of 1000 masks leave every table of order 10 or more a ragged last block
+    monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", 1000)
+    g = EXTREME_CASES[name]
+    table = steinerk.sdiam._superset_table(g)
+    best, first = _size_extremes.__wrapped__(g)
+    assert len(best) == len(first) == g.order + 1
+    for k in range(2, g.order + 1):
+        # the k-sets' slice of the size index; argmax keeps the smallest mask
+        start = sum(math.comb(g.order, j) for j in range(k))
+        idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
+        mask = int(idx[int(np.argmax(table[idx]))])
+        assert (best[k], first[k]) == (int(table[mask]), mask), k
+
+
+def test_order_20_size_extremes_memory_is_bounded():
+    g = grid(4, 5)
+    steinerk.sdiam._superset_table(g)  # the table and popcounts are cached,
+    _popcounts(20)  # so neither is part of the pass's cost
+    tracemalloc.start()
+    try:
+        _size_extremes.__wrapped__(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_table_route_diameter_builds_no_size_index():
+    g = petersen()
+    before = _masks_by_size.cache_info()
+    for k in range(2, g.order + 1):
+        steiner_k_diameter(g, k)
+    assert _masks_by_size.cache_info() == before
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_colex_sets_are_the_combinations_by_ascending_mask(n):
     for k in range(n + 1):
@@ -189,8 +246,9 @@ def test_slices_by_largest_vertex_partition_the_sweep(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, 8 + seed, rng.uniform(0.2, 0.6))
     for k in range(2, 6):
-        joined = [vm for j in range(k - 1, g.order) for vm in _sweep_values(g, k, top=j)]
-        assert joined == list(_sweep_values(g, k))
+        joined = [vm for j in range(k - 1, g.order)
+                  for vm in _sweep_values(g, _top_slice(k, j))]
+        assert joined == list(_sweep_values(g, _colex_sets(g.order, k)))
         assert len(joined) == math.comb(g.order, k)
 
 
@@ -237,6 +295,63 @@ def test_in_process_sweep_solves_every_set_in_colex_order(monkeypatch):
     assert steiner_k_diameter(cycle(23), 3, jobs=1, witness=False).value == 15
     want = sorted(sum(1 << v for v in c) for c in itertools.combinations(range(23), 3))
     assert solved == want
+
+
+def test_radius_sweep_solves_every_set_in_colex_order(monkeypatch):
+    solved = []
+
+    def recording(g, terms):
+        solved.append(sum(1 << t for t in terms))
+        return real(g, terms)
+
+    real = steinerk.sdiam._steiner_value
+    monkeypatch.setattr(steinerk.sdiam, "_steiner_value", recording)
+    assert steiner_k_radius(cycle(23), 3) == 15
+    want = sorted(sum(1 << v for v in c) for c in itertools.combinations(range(23), 3))
+    assert solved == want
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sets_through_are_the_colex_sets_holding_v(n):
+    for k in range(1, n + 1):
+        for v in range(n):
+            want = [s for s in _colex_sets(n, k) if v in s]
+            assert list(_sets_through(n, k, v)) == want
+
+
+def test_eccentricity_sweep_solves_only_the_sets_through_v(monkeypatch):
+    solved = []
+
+    def recording(g, terms):
+        solved.append(terms)
+        return real(g, terms)
+
+    real = steinerk.sdiam._steiner_value
+    monkeypatch.setattr(steinerk.sdiam, "_steiner_value", recording)
+    g = random_connected_graph(random.Random(5), 23, 0.15)
+    for v, k in ((0, 3), (11, 4), (22, 3)):
+        solved.clear()
+        steiner_eccentricity(g, v, k)
+        assert all(v in s for s in solved)
+        assert len(solved) == len(set(solved)) == math.comb(22, k - 1)
+
+
+ECCENTRICITY_CASES = {
+    "connected21": random_connected_graph(random.Random(21), 21, 0.2),
+    "two-paths22": _two_paths(22, 9),
+    "connected23": random_connected_graph(random.Random(23), 23, 0.15),
+    "isolated24": _connected_but(24, 17),
+}
+
+
+@pytest.mark.parametrize("name", ECCENTRICITY_CASES)
+def test_eccentricity_sweep_matches_the_filtered_walk(name):
+    # the old sweep walked every k-set in colex order and skipped those without v
+    g = ECCENTRICITY_CASES[name]
+    for k in (2, 3, 4):
+        for v in (0, g.order // 2, g.order - 1):
+            walk = _sweep_values(g, (s for s in _colex_sets(g.order, k) if v in s))
+            assert steiner_eccentricity(g, v, k) == max(value for value, _ in walk)
 
 
 def test_disconnected_sweep_stops_after_the_first_unreachable_set(monkeypatch):
