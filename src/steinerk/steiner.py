@@ -4,6 +4,7 @@ oracle, and witness trees with a lexicographically-smallest tie-break."""
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -22,7 +23,10 @@ Distance = float  # int when finite, INFINITE otherwise
 
 _SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
 _TABLE_BLOCK = 1 << 14  # masks spread to their components at once in _superset_table
-_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or _optimal_edges chunk
+_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or split-table chunk
+# (mask, split) pairs of the largest Dreyfus-Wagner level that _dw_levels plans:
+# enough for a one-chunk merge up to order 64, and at most 0.15 MiB of plans per k
+_DW_PLAN_PAIRS = 1 << 12
 
 
 class SteinerResult(NamedTuple):
@@ -228,11 +232,15 @@ def _meet_pair_value(g: Graph, sup: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=8)
-def _dw_levels(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _dw_levels(
+    k: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]]:
     """Per subset size s = 2..k: the k-bit masks of that size, ascending; their
-    set bits' values, one row per mask, low bit first; and the
-    0/1 matrix whose column j picks the bits of split j: the low bit and the
-    higher bits at the set bits of j, for j < 2^(s-1) - 1."""
+    set bits' values, one row per mask, low bit first; the 0/1 matrix whose
+    column j picks the bits of split j: the low bit and the higher bits at the
+    set bits of j, for j < 2^(s-1) - 1; and the merge plan, the flat
+    split-major indices of every split B of every mask A and of A-B, where the
+    level has at most _DW_PLAN_PAIRS (mask, split) pairs, else None."""
     masks = np.arange(1 << k, dtype=np.int64)
     pop = _popcounts(k)
     levels = []
@@ -240,7 +248,12 @@ def _dw_levels(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         level = masks[pop == s]
         _, positions = np.nonzero((level[:, None] >> np.arange(k)) & 1)
         sel = (np.arange((1 << (s - 1)) - 1) << 1 | 1) >> np.arange(s)[:, None] & 1
-        levels.append((level, 1 << positions.reshape(-1, s), sel))
+        bits = 1 << positions.reshape(-1, s)
+        plan = None
+        if len(level) * sel.shape[1] <= _DW_PLAN_PAIRS:
+            part = (bits @ sel).T
+            plan = part.ravel(), (level ^ part).ravel()
+        levels.append((level, bits, sel, plan))
     return levels
 
 
@@ -263,15 +276,20 @@ def _dw_merge(f: np.ndarray, level: np.ndarray, bits: np.ndarray, sel: np.ndarra
     return rows
 
 
-def _grow_dense(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows[c][v] = min over u of rows[c][u] + d(u, v), capped at the order n:
-    a min-plus product with dist, the all-pairs distances with n for no path,
-    in chunks of rows."""
-    n = len(dist)
-    step = max(1, _SPLIT_CHUNK_ENTRIES // (n * n))
+def _grow_dense(tiled: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows[c][v] = min over u of rows[c][u] + d(u, v): a min-plus product
+    with the all-pairs distances d, n for no path, given as tiled, c copies of
+    the n x n matrix side by side, c the rows per chunk. A chunk's rows are
+    spread to sums[u][c n + v] = rows[c][u], so one contiguous add and one
+    min over u serve the whole chunk. u = v adds 0, so rows capped at the
+    order n stay capped."""
+    n = len(tiled)
+    step = tiled.shape[1] // n
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
-        np.minimum((block[:, :, None] + dist).min(axis=1), n, out=block)
+        sums = np.repeat(block.T, n, axis=1)
+        sums += tiled[:, :sums.shape[1]]
+        block[...] = sums.min(axis=0).reshape(block.shape)
     return rows
 
 
@@ -306,25 +324,39 @@ def _dreyfus_wagner_table(g: Graph, sup: Sequence[int]) -> np.ndarray:
     size at a time.
 
     Every split of a mask has smaller parts, so a whole level merges at once
-    (_dw_merge) and then grows along edges. The grow step is a min-plus product
-    with the all-pairs distance matrix where _reads_apsp holds, and a bucket
-    BFS per row otherwise; both give the same rows. A tree has fewer than n
-    edges, so the fill caps every entry at n, meaning no tree, and a sum of two
-    entries fits the smallest integer type that holds 2n.
+    and then grows along edges. A level whose gather fits one
+    _SPLIT_CHUNK_ENTRIES chunk merges by one gather, add and min over its
+    cached plan; a larger one, or one with no plan, in _dw_merge's chunks. The
+    grow step is a min-plus product with the all-pairs distance matrix where
+    _reads_apsp holds, and a bucket BFS per row otherwise; both give the same
+    rows, and on the first the singles are the terminals' matrix rows. A tree
+    has fewer than n edges, so the fill caps every entry at n, meaning no tree,
+    and a sum of two entries fits the smallest integer type that holds 2n.
     """
     n = g.order
     k = len(sup)
     dtype = np.min_scalar_type(2 * n)
-    if _reads_apsp(g, k):
-        grow = partial(_grow_dense, _apsp_matrix(g).astype(dtype))
-    else:
-        grow = partial(_grow_sparse, g)
     f = np.full((1 << k, n), n, dtype=dtype)
     singles = 1 << np.arange(k)
-    f[singles, list(sup)] = 0
-    f[singles] = grow(f[singles])
-    for level, bits, sel in _dw_levels(k):
-        f[level] = grow(_dw_merge(f, level, bits, sel))
+    if _reads_apsp(g, k):
+        dist = _apsp_matrix(g).astype(dtype)
+        f[singles] = dist[list(sup)]
+        # rows per grow chunk: no more than the largest level holds
+        rows = min(max(1, _SPLIT_CHUNK_ENTRIES // (n * n)), math.comb(k, k // 2))
+        grow = partial(_grow_dense, np.tile(dist, rows))
+    else:
+        grow = partial(_grow_sparse, g)
+        f[singles, list(sup)] = 0
+        f[singles] = grow(f[singles])
+    for level, bits, sel, plan in _dw_levels(k):
+        if plan is not None and len(plan[0]) * n <= _SPLIT_CHUNK_ENTRIES:
+            sums = np.take(f, plan[0], axis=0)
+            sums += np.take(f, plan[1], axis=0)
+            merged = sums.reshape(-1, len(level), n).min(axis=0)
+            np.minimum(merged, n, out=merged)
+        else:
+            merged = _dw_merge(f, level, bits, sel)
+        f[level] = grow(merged)
     return f
 
 
@@ -431,6 +463,47 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
     return [e for e, keep in zip(g.edges, hit.tolist()) if keep]
 
 
+def _scan_node(table: list[list[int]], a: int) -> tuple[list[int], Callable[[int], int]]:
+    """Row a of the split table, read whole into lists, and v -> the first split
+    B of A, holding A's low bit, with f[B][v] + f[A-B][v] == f[A][v]; 0 where
+    none does. Each v scans the splits in order as it is asked."""
+    low = a & -a
+    rest = a ^ low
+    f = table[a]
+
+    def first_split(v: int) -> int:
+        sub = rest
+        while sub:  # low with each proper subset of A - low, descending
+            sub = (sub - 1) & rest
+            b = sub | low
+            if table[b][v] + table[a ^ b][v] == f[v]:
+                return b
+        return 0
+    return f, first_split
+
+
+def _fold_node(split_rows: Callable[[np.ndarray], np.ndarray], n: int, a: int
+               ) -> tuple[list[int], Callable[[int], int]]:
+    """_scan_node for a split table too large to read whole: every v's first
+    split at once, in numpy, _SPLIT_CHUNK_ENTRIES // n splits at a time. Split
+    j of A's 2^r - 1 is low with the subset of rank 2^r - 2 - j of the r bits
+    of A - low."""
+    low = a & -a
+    places = [1 << i for i in range(a.bit_length()) if (a ^ low) >> i & 1]
+    f = split_rows(np.array([a]))[0]
+    first = np.zeros(n, dtype=np.int64)
+    step = max(1, _SPLIT_CHUNK_ENTRIES // n)
+    for hi in range((1 << len(places)) - 2, -1, -step):
+        rank = np.arange(hi, max(hi - step, -1), -1)
+        part = np.full(len(rank), low, dtype=np.int64)
+        for i, bit in enumerate(places):
+            part |= (rank >> i & 1) * bit
+        hit = split_rows(part) + split_rows(a ^ part) == f
+        new = (first == 0) & hit.any(axis=0)
+        first[new] = part[hit.argmax(axis=0)[new]]
+    return f.tolist(), first.tolist().__getitem__
+
+
 def _min_tree(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
     """One minimum Steiner tree for sup, ascending, by backtracking the split
     table from (all of sup, sup[0]).
@@ -440,28 +513,24 @@ def _min_tree(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]
     that, it steps along the edge to the smallest neighbour u with
     f[A][u] + 1 == f[A][v]. Above f = 0 one of the two holds (the Dreyfus-Wagner
     recurrence), so the pieces' sizes add up to value. Their union is connected
-    and spans sup, so with at most value edges it is a minimum tree.
+    and spans sup, so with at most value edges it is a minimum tree. A split
+    table that fits one _SPLIT_CHUNK_ENTRIES chunk is read once (_scan_node);
+    a larger one a node at a time (_fold_node).
     """
+    full = (1 << len(sup)) - 1
     split_rows = _split_rows(g, sup)
+    if (full + 1) * g.order <= _SPLIT_CHUNK_ENTRIES:
+        node = partial(_scan_node, split_rows(np.arange(full + 1)).tolist())
+    else:
+        node = partial(_fold_node, split_rows, g.order)
     tree: list[tuple[int, int]] = []
-    stack = [((1 << len(sup)) - 1, sup[0])]
+    stack = [(full, sup[0])]
     while stack:
         a, v = stack.pop()
-        low = a & -a
-        rest = a ^ low
-        splits = []  # low with each proper subset of A - low, descending
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            splits.append(sub | low)
-        rows = split_rows(np.array([a] + splits + [a ^ b for b in splits]))
-        f = rows[0].tolist()
-        if splits:
-            sums = rows[1:len(splits) + 1] + rows[len(splits) + 1:]
-            best, pick = sums.min(axis=0).tolist(), sums.argmin(axis=0).tolist()
+        f, first_split = node(a)
         while f[v]:
-            if splits and best[v] == f[v]:
-                b = splits[pick[v]]
+            b = first_split(v)
+            if b:
                 stack += [(b, v), (a ^ b, v)]
                 break
             u = next(u for u in g.adj[v] if f[u] + 1 == f[v])
@@ -495,6 +564,9 @@ def _trial(
     need_roots.update(dsu.find(u) for u, _ in forced)
     if len(need_roots) == 1:
         return set(), usable
+    # a tree joining that many parts has at least one edge fewer than parts
+    if len(need_roots) - 1 > budget:
+        return None
     originals: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for e in g.edges:
         if e in excluded:
@@ -587,7 +659,8 @@ def steiner_distance(
     lexicographically smallest edge list; pass witness=False to skip extracting it.
     """
     sup = _validate_terminals(g, terminals)
-    config.check_dp_limit(len(sup))
+    if not _reads_table(g, len(sup)):
+        config.check_dp_limit(len(sup))
     value = _steiner_value(g, sup)
     tree = _lexmin_witness(g, sup, value) if witness else []
     return SteinerResult(value, tuple(tree))

@@ -1,7 +1,8 @@
 """Shared hypothesis strategies for graph-valued properties, a witness-tree
 checker that is independent of the package's own, so the tests never judge the
 program with its own checker, a pure-Python Dreyfus-Wagner table to pin the
-package's numpy one, and a helper that forces the off-table routes."""
+package's numpy one, a seeded sparse connected graph, and a helper that
+forces the off-table routes."""
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +16,15 @@ def off_table(fn, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(config, "SPECTRUM_LIMIT", 0)
         return fn(*args, **kwargs)
+
+
+def sparse_connected(rng, n: int) -> Graph:
+    """A random spanning tree plus extra edges up to mean degree 3."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 3 * n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, edges)
 
 
 @st.composite

@@ -18,7 +18,9 @@ from steinerk import (
     steiner_k_diameter,
     steiner_k_radius,
 )
-from steinerk.families import cycle, grid, hamming, path, petersen, star
+from steinerk.cli import main
+from steinerk.families import FamilySpec, cycle, generate, grid, hamming, path, petersen, star
+from steinerk.graphs import induced_subgraph, is_connected, to_json
 from steinerk.sdiam import (
     _colex_sets,
     _masks_by_size,
@@ -27,8 +29,8 @@ from steinerk.sdiam import (
     _sweep_values,
     _top_slice,
 )
-from steinerk.steiner import _popcounts
-from steinerk.verify import random_connected_graph
+from steinerk.steiner import _popcounts, lexmin_spanning_tree
+from steinerk.verify import closed_form_table, random_connected_graph
 
 from strategies import off_table
 
@@ -128,6 +130,53 @@ def test_spectrum_and_sweep_agree(name):
         assert via_table == off_table(steiner_k_diameter, g, k, witness=False)
     via_table = steiner_k_diameter(g, 4, witness=False)
     assert via_table == off_table(steiner_k_diameter, g, 4, witness=False, jobs=2)
+
+
+# (family, params, ks): every (graph, k) with k above the DP limit whose
+# k-diameter `table` reports, 24 in all. Up to order 20 each reads the
+# superset table, so the DP limit, which guards the DP route, must not refuse it
+ABOVE_DP_LIMIT = [
+    *((family, params, range(17, 21)) for family, params in (
+        ("hyper_petersen", (4,)), ("hyper_petersen_lex", (4,)), ("grid", (4, 5)),
+        ("path", (20,)), ("cycle", (20,)))),
+    ("torus", (3, 6), range(17, 19)),
+    ("grid", (3, 6), range(17, 19)),
+]
+
+
+def _brute_lexmin_tree(g, terms, value):
+    """The lexicographically smallest minimum Steiner tree: the smallest lexmin
+    spanning tree over the connected supersets of terms with value + 1 vertices."""
+    rest = [v for v in range(g.order) if v not in terms]
+    return min(
+        tuple(lexmin_spanning_tree(g, [*terms, *extra]))
+        for extra in itertools.combinations(rest, value + 1 - len(terms))
+        if is_connected(induced_subgraph(g, [*terms, *extra])[0])
+    )
+
+
+def test_k_diameters_above_the_dp_limit_agree_across_routes(tmp_path, capsys):
+    pairs = 0
+    for family, params, ks in ABOVE_DP_LIMIT:
+        spec = FamilySpec(family, params)
+        g = generate(spec)
+        assert g.order <= config.SPECTRUM_LIMIT and max(ks) > config.DP_LIMIT
+        rows = {row.k: row for row in closed_form_table(spec, ks)}
+        gf = tmp_path / "g.json"
+        gf.write_text(to_json(g))
+        for k in ks:
+            res = steiner_k_diameter(g, k)
+            assert rows[k].verdict == "PASS" and rows[k].computed == res.value, (family, k)
+            assert res.witness_tree == _brute_lexmin_tree(g, res.witness_set, res.value), (family, k)
+            assert main(["sdiam", "-g", str(gf), "-k", str(k)]) == 0, (family, k)
+            out = capsys.readouterr().out.splitlines()
+            assert out == [
+                str(res.value),
+                "S: " + ",".join(map(str, res.witness_set)),
+                "T: " + " ".join(f"{u}-{v}" for u, v in res.witness_tree),
+            ], (family, k)
+            pairs += 1
+    assert pairs == 24
 
 
 def test_sweeps_honour_dp_limit(monkeypatch):

@@ -39,6 +39,7 @@ from strategies import (
     is_valid_tree,
     off_table,
     reference_dreyfus_wagner_table,
+    sparse_connected,
 )
 
 
@@ -180,20 +181,11 @@ def test_route_dispatch_agrees(case):
         assert engine(g, terms) == want, engine.__name__
 
 
-def _sparse_connected(rng, n):
-    """A random spanning tree plus extra edges up to mean degree 3."""
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < 3 * n // 2:
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.add((u, v))
-    return Graph(n, edges)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_engines_agree_above_table_limit(seed):
     # orders 21-24 are above the spectrum limit, where real queries use these engines
     rng = random.Random(seed)
-    g = _sparse_connected(rng, 21 + seed % 4)
+    g = sparse_connected(rng, 21 + seed % 4)
     for k in (3, 4, 5):
         terms = sorted(rng.sample(range(g.order), k))
         want = steiner_distance_oracle(g, terms).distance
@@ -205,7 +197,7 @@ def test_engines_agree_above_table_limit(seed):
 def test_dp_route_builds_one_table(monkeypatch):
     # above the table limit a 6-terminal value comes from Dreyfus-Wagner, and
     # the witness's split arrays read that same table instead of a second build
-    g = _sparse_connected(random.Random(0), 30)
+    g = sparse_connected(random.Random(0), 30)
     terms = sorted(random.Random(1).sample(range(30), 6))
     full_builds = []
     build = steinerk.steiner._dreyfus_wagner_table
@@ -237,12 +229,23 @@ def _dw_cases():
     yield path(40), [0, 17, 39]
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_dreyfus_wagner_table_matches_reference(dense, monkeypatch):
+@pytest.mark.parametrize(
+    "dense, chunk",
+    [(True, None), (False, None), (True, 97), (False, 97)],
+    ids=["dense", "sparse", "dense_chunked", "sparse_chunked"],
+)
+def test_dreyfus_wagner_table_matches_reference(dense, chunk, monkeypatch):
     # every row included, entries where no tree exists reading the order n,
     # with each grow step forced on every case: the min-plus product, or the
-    # BFS, whichever the rule n^2 <= 2^k (n + 2m) would pick
+    # BFS, whichever the rule n^2 <= 2^k (n + 2m) would pick. By default every
+    # level here merges by its plan; 97-entry chunks send the larger levels
+    # through _dw_merge in ragged chunks, and the grow step a row at a time
     monkeypatch.setattr(steinerk.steiner, "_reads_apsp", lambda g, k: dense)
+    if chunk is not None:
+        monkeypatch.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
+    merges = []
+    merge = steinerk.steiner._dw_merge
+    monkeypatch.setattr(steinerk.steiner, "_dw_merge", lambda *a: merges.append(1) or merge(*a))
     disconnected = 0
     for g, sup in _dw_cases():
         got = _dreyfus_wagner_table(g, sup)
@@ -250,6 +253,13 @@ def test_dreyfus_wagner_table_matches_reference(dense, monkeypatch):
         assert got.tolist() == want, (g.edges, sup)
         disconnected += not is_connected(g)
     assert disconnected >= 40, disconnected
+    assert (len(merges) > 100) if chunk is not None else not merges
+    # the plans live in _dw_levels' own entries, so a table built after the
+    # cache is emptied reads fresh plans and equals one built before
+    g, sup = cartesian_product(cycle(8), path(8)).graph, [3, 9, 20, 41, 60, 62]
+    before = _dreyfus_wagner_table(g, sup)
+    _dw_levels.cache_clear()
+    assert np.array_equal(_dreyfus_wagner_table(g, sup), before)
 
 
 def _components():
@@ -272,9 +282,9 @@ APSP_CASES = {
     "edgeless": (lambda: Graph(7, []), None),
     "components": (_components, None),
     "dense": (lambda: _random_graph(random.Random(4), 30, 0.8), None),
-    "chunked_65": (lambda: _sparse_connected(random.Random(65), 65), 1000),
+    "chunked_65": (lambda: sparse_connected(random.Random(65), 65), 1000),
     "chunked_97": (lambda: _random_graph(random.Random(97), 97, 0.02), 1000),
-    "chunked_130": (lambda: _sparse_connected(random.Random(130), 130), 1000),
+    "chunked_130": (lambda: sparse_connected(random.Random(130), 130), 1000),
 }
 
 
@@ -344,7 +354,7 @@ def test_steiner_value_is_infinite_across_components(route, k, monkeypatch):
 def test_apsp_matrix_memory_is_bounded():
     # the result and the float32 adjacency take 4 MB each; the search
     # temporaries are chunked, where all 1000 sources at once peak near 17 MiB
-    g = _sparse_connected(random.Random(1000), 1000)
+    g = sparse_connected(random.Random(1000), 1000)
     tracemalloc.start()
     try:
         _apsp_matrix.__wrapped__(g)
@@ -357,7 +367,7 @@ def test_apsp_matrix_memory_is_bounded():
 def test_dreyfus_wagner_table_memory_is_bounded():
     # merge and grow temporaries are chunked, and the per-size masks are the
     # only plan kept; an unchunked fill peaks near 44 MiB here
-    g = _sparse_connected(random.Random(2), 40)
+    g = sparse_connected(random.Random(2), 40)
     sup = sorted(random.Random(3).sample(range(40), 12))
     _dw_levels.cache_clear()
     tracemalloc.start()

@@ -6,6 +6,7 @@ witness does not depend on the route that computed the value."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -15,7 +16,7 @@ from steinerk import INFINITE, Graph, config, steiner_distance, steiner_distance
 from steinerk.families import cycle, path
 from steinerk.steiner import _min_tree, _optimal_edges, _reads_table, _superset_table
 
-from strategies import is_valid_tree, off_table
+from strategies import is_valid_tree, off_table, sparse_connected
 
 
 def _random_connected(rng, n, p):
@@ -87,16 +88,28 @@ def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
         assert set(got) == union, (seed, terms)
 
 
-@pytest.mark.parametrize("limit", [None, 0])
-def test_min_tree_is_a_minimum_tree(limit, monkeypatch):
+@pytest.mark.parametrize(
+    "limit, chunk",
+    [(None, None), (0, None), (None, 8), (0, 8)],
+    ids=["None", "0", "None_chunked", "0_chunked"],
+)
+def test_min_tree_is_a_minimum_tree(limit, chunk, monkeypatch):
     # the greedy's first certificate. By default the split rows come off the
     # superset table where the query reads one and off Dreyfus-Wagner
-    # elsewhere; a spectrum limit of 0 sends every case to Dreyfus-Wagner
+    # elsewhere; a spectrum limit of 0 sends every case to Dreyfus-Wagner.
+    # Every split table here fits one chunk, so by default it is read once;
+    # 8-entry chunks fold each node's split sums over one or two splits at a
+    # time in numpy, the last chunk ragged, and must pick the same tree
     if limit is not None:
         monkeypatch.setattr(config, "SPECTRUM_LIMIT", limit)
     table = 0
     for seed, g, terms, value, trees in _brute_force_cases():
-        assert tuple(_min_tree(g, terms, value)) in trees, (seed, terms)
+        tree = _min_tree(g, terms, value)
+        if chunk is not None:
+            with monkeypatch.context() as m:
+                m.setattr(steinerk.steiner, "_SPLIT_CHUNK_ENTRIES", chunk)
+                assert _min_tree(g, terms, value) == tree, (seed, terms)
+        assert tuple(tree) in trees, (seed, terms)
         table += _reads_table(g, len(terms))
     assert table >= 100 if limit is None else table == 0
 
@@ -139,18 +152,27 @@ def test_witness_route_agreement():
 def test_certificates_halve_the_contracted_resolves(monkeypatch):
     # the greedy takes edges on its certificate and drops edges off the
     # minimum trees it knows of without a re-solve; the same 64 queries ran
-    # 348 re-solves when every candidate edge took one
-    calls = []
-    trial = steinerk.steiner._trial
+    # 348 re-solves when every candidate edge took one. A trial whose kept
+    # edges leave more parts than edges to spare fails before it contracts:
+    # 25 of today's 50 trials re-solve, where all but one did before
+    trials, resolves = [], []
+    trial, value = steinerk.steiner._trial, steinerk.steiner._steiner_value
 
-    def counting(*args):
-        calls.append(args)
+    def counting_trial(*args):
+        trials.append(args)
         return trial(*args)
 
-    monkeypatch.setattr(steinerk.steiner, "_trial", counting)
+    def counting_value(g, sup, *table):
+        if table:  # only the contracted re-solves pass a one-off table builder
+            resolves.append(sup)
+        return value(g, sup, *table)
+
+    monkeypatch.setattr(steinerk.steiner, "_trial", counting_trial)
+    monkeypatch.setattr(steinerk.steiner, "_steiner_value", counting_value)
     for g, terms in _route_cases():
         steiner_distance(g, terms)
-    assert len(calls) <= 348 // 2
+    assert len(trials) <= 348 // 2
+    assert len(resolves) <= 25
 
 
 def _witness_corpus():
@@ -248,6 +270,47 @@ def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
     assert res == (17, tuple(e for e in ring.edges if e not in {(1, 2), (2, 3), (3, 4)}))
     assert [n for n in one_off if n > 16]
     assert [n for n in built if n > 16] == []
+
+
+def _large_k_case(name):
+    if name == "path20_k15":
+        return path(20), [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16, 18, 19]
+    if name == "cycle20_k15":
+        return cycle(20), [v for v in range(20) if v not in (2, 3, 10, 18, 19)]
+    if name == "path20_k18":
+        return path(20), [*range(17), 19]
+    rng = random.Random(120)
+    g = sparse_connected(rng, 120)
+    return g, sorted(rng.sample(range(120), 12))
+
+
+# name: tracemalloc bound in MiB on a witness built with every table cache
+# empty. The split tables here are larger than one chunk, so the certificate
+# folds its split sums chunk by chunk in numpy. The first three peaked at
+# 8.75, 8.75 and 2.19 MiB when each node gathered all its splits at once, and
+# at 5.2, 5.2 and 2.3 MiB since; a copy of the whole table into lists peaks
+# several times higher. The order-120 graph's query takes Dreyfus-Wagner.
+# path20_k18 is above the DP limit, on the table route: gathering all 2^17
+# splits of its root at once took 54 MiB, and by chunks it peaks near 7 MiB.
+# The first three bounds are the gathered peaks plus 1 MiB
+LARGE_K_PEAKS_MIB = {"path20_k15": 9.75, "cycle20_k15": 9.75, "order120_k12": 3.19, "path20_k18": 9}
+
+
+@pytest.mark.parametrize("name", list(LARGE_K_PEAKS_MIB))
+def test_large_k_witness_memory_is_bounded(name):
+    g, terms = _large_k_case(name)
+    for cache in (_superset_table, steinerk.steiner._query_dw_table, steinerk.steiner._apsp_matrix,
+                  steinerk.steiner._dw_levels, steinerk.steiner._popcounts):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        res = steiner_distance(g, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each value is above k, so the witness comes from the general greedy
+    assert res.distance > len(terms) and is_valid_tree(g, res.tree_edges, terms)
+    assert peak <= LARGE_K_PEAKS_MIB[name] * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_sparse_order_20_witness_above_k():
