@@ -16,6 +16,7 @@ from .bounds import (
     lex_distance_k3,
     lex_sdiam_bounds,
 )
+from . import config
 from .config import GuardExceeded
 from .families import FamilySpec, generate
 from .graphs import INFINITE, Graph, distance, from_json, is_connected, to_json
@@ -135,6 +136,8 @@ def _cmd_bounds(args) -> int:
     if (args.terminals is None) == (args.k is None):
         raise ValueError("bounds needs exactly one of -S or -k")
     if args.terminals is not None:
+        if not h.order:
+            raise ValueError("product ids need a second factor with at least one vertex")
         ids = _parse_terminals(args.terminals, h.order)
         pairs = [divmod(i, h.order) for i in ids]
         if args.kind == "cartesian":
@@ -169,6 +172,9 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     if args.kmin > args.kmax:
         raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
+    # every k above the order reads SKIPPED, and no generated graph is larger
+    if args.kmax > config.MAX_ORDER:
+        raise ValueError(f"--kmax {args.kmax} exceeds the order limit {config.MAX_ORDER}")
     spec = FamilySpec(args.family, tuple(args.params))
     rows = closed_form_table(spec, range(args.kmin, args.kmax + 1), jobs=args.jobs)
     text = table_to_csv(rows) if args.format == "csv" else table_to_json(rows)
@@ -230,8 +236,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("table", help="per-k closed-form table for a named family")
     p.add_argument("--family", required=True)
     p.add_argument("--params", nargs="*", type=int, default=[])
-    p.add_argument("--kmin", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmin", type=_at_least_one, required=True)
+    p.add_argument("--kmax", type=_at_least_one, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_table)

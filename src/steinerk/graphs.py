@@ -248,6 +248,8 @@ def from_json(text: str) -> Graph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("malformed graph JSON: nested too deeply") from None
     if not isinstance(payload, dict) or "order" not in payload or "edges" not in payload:
         raise ValueError("malformed graph JSON: expected object with order and edges")
     order, edges = payload["order"], payload["edges"]

@@ -3,17 +3,17 @@
 Two strategies: small graphs read the connected-superset table. The k-diameter
 of every k comes from one blocked pass over it, which keeps each set size's
 largest entry and the first mask attaining it; the k-eccentricity and k-radius
-read one k through an index of the masks by size. Larger graphs sweep the
-k-sets as ascending tuples in colex order (by largest vertex, then by the rest
-in colex order, which is ascending bitmask order) with connectivity shortcuts
-(induced-connected sets cost k-1, one-extra-vertex sets cost k) before the DP.
-The first set in that order that attains the maximum is the answer. A pooled
-sweep gives each task the sets with one largest vertex, which are one
-contiguous colex run; jobs below 2 sweep in-process."""
+of every k come from another, which ORs each mask into its (set size, entry)
+cell. Larger graphs sweep the k-sets as ascending tuples in colex order (by
+largest vertex, then by the rest in colex order, which is ascending bitmask
+order) with connectivity shortcuts (induced-connected sets cost k-1,
+one-extra-vertex sets cost k) before the DP. The first set in that order that
+attains the maximum is the answer. A pooled sweep gives each task the sets with
+one largest vertex, which are one contiguous colex run; jobs below 2 sweep
+in-process."""
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -42,24 +42,6 @@ class SdiamResult(NamedTuple):
 def _check_k(g: Graph, k: int) -> None:
     if not 2 <= k <= g.order:
         raise ValueError(f"k must satisfy 2 <= k <= {g.order}, got {k}")
-
-
-@lru_cache(maxsize=4)
-def _masks_by_size(n: int) -> np.ndarray:
-    """Every n-bit mask, by set-bit count and ascending within a count: the
-    k-sets are the C(n, k) entries after the C(n, j) entries of each j < k.
-
-    One preallocated int32 array is filled one count at a time, with no int64
-    sort; at order 20, with the popcounts cached, the tracemalloc peak is
-    6.4 MiB, 4 MiB of it the index."""
-    pop = _popcounts(n)
-    out = np.empty(1 << n, dtype=np.int32)
-    start = 0
-    for j in range(n + 1):
-        stop = start + math.comb(n, j)
-        out[start:stop] = np.flatnonzero(pop == j)
-        start = stop
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -101,15 +83,29 @@ def _size_extremes(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(best), tuple(first)
 
 
-def _spectrum_extreme(g: Graph, k: int, v: int) -> Distance:
-    """Max Steiner distance over the k-sets through v, read off the
-    connected-superset table through the size index."""
+@lru_cache(maxsize=16)
+def _size_vertex_extremes(g: Graph) -> tuple[tuple[Distance, ...], ...]:
+    """For each set size j and vertex v, the largest superset-table entry over
+    the j-sets through v: the Steiner j-eccentricity of v, INFINITE for n.
+
+    One pass over the table in blocks of _TABLE_BLOCK masks ORs every mask into
+    its (size, entry) cell, keyed popcount * (n + 1) + entry as in
+    _size_extremes; e_j(v) is then the largest entry whose size-j cell has bit
+    v. At order 20, with the table and the popcounts cached, the tracemalloc
+    peak is 0.3 MiB."""
+    n = g.order
     table = _superset_table(g)
-    start = sum(math.comb(g.order, j) for j in range(k))
-    idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
-    best = int(table[idx[(idx >> v) & 1 == 1]].max())
-    # n, no connected superset, is the largest entry
-    return INFINITE if best == g.order else best
+    pop = _popcounts(n)
+    block = steiner._TABLE_BLOCK
+    cover = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    for start in range(0, 1 << n, block):
+        key = pop[start:start + block].astype(np.intp)
+        key *= n + 1
+        key += table[start:start + block]
+        np.bitwise_or.at(cover, key, np.arange(start, start + key.size))
+    has = cover.reshape(n + 1, n + 1, 1) >> np.arange(n) & 1
+    ecc = (has * np.arange(n + 1)[:, None]).max(axis=1)
+    return tuple(tuple(INFINITE if e == n else e for e in row) for row in ecc.tolist())
 
 
 def _colex_sets(n: int, k: int):
@@ -171,7 +167,7 @@ def steiner_eccentricity(g: Graph, v: int, k: int) -> Distance:
     check_vertex(g, v)
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return _spectrum_extreme(g, k, v)
+        return _size_vertex_extremes(g)[k][v]
     config.check_dp_limit(k)
     return max(value for value, _ in _sweep_values(g, _sets_through(g.order, k, v)))
 
@@ -180,7 +176,7 @@ def steiner_k_radius(g: Graph, k: int) -> Distance:
     """Minimum Steiner k-eccentricity over all vertices."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return min(_spectrum_extreme(g, k, v) for v in range(g.order))
+        return min(_size_vertex_extremes(g)[k])
     config.check_dp_limit(k)
     # once a k-set spans two components, so does one through every vertex
     ecc: list[Distance] = [-1] * g.order

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import steinerk
-from steinerk import from_json, to_json
+from steinerk import Graph, config, from_json, to_json
 from steinerk.cli import _build_parser, main
 from steinerk.families import cycle, path, star
 
@@ -210,6 +210,15 @@ def test_bounds_needs_exactly_one_query(tmp_path, capsys):
     assert main(["bounds", "cartesian", "-G", gf, "-H", gf, "-k", "3", "-S", "0,1,2"]) == 1
 
 
+def test_bounds_ids_on_an_empty_second_factor_exit_1(tmp_path, capsys):
+    # a product id i is the pair divmod(i, order of H)
+    gf = _write(tmp_path, "g.json", path(3))
+    hf = _write(tmp_path, "h.json", Graph(0, []))
+    assert main(["bounds", "lex", "-G", gf, "-H", hf, "-S", "0,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert "second factor with at least one vertex" in captured.err and captured.out == ""
+
+
 def test_verify_csv_and_exit_code(capsys):
     code = main(["verify", "--theorem", "Example1", "--format", "csv"])
     out = capsys.readouterr().out
@@ -328,6 +337,22 @@ def test_table_kmin_above_kmax_exits_1(capsys):
     assert main(["table", "--family", "cycle", "--params", "5", "--kmin", "3", "--kmax", "2"]) == 1
     captured = capsys.readouterr()
     assert "--kmin 3 exceeds --kmax 2" in captured.err
+    assert captured.out == ""
+
+
+def test_table_k_range_outside_the_orders_exits_1(capsys):
+    # below 1 is a usage error; above the order limit every row would read
+    # SKIPPED, one row held per k, since no generated graph is larger
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "cycle", "--params", "5", "--kmin", "0", "--kmax", "3"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "must be at least 1, got 0" in captured.err and captured.out == ""
+    kmax = config.MAX_ORDER + 1
+    assert main(["table", "--family", "cycle", "--params", "5",
+                 "--kmin", "2", "--kmax", str(kmax)]) == 1
+    captured = capsys.readouterr()
+    assert f"--kmax {kmax} exceeds the order limit {config.MAX_ORDER}" in captured.err
     assert captured.out == ""
 
 

@@ -136,3 +136,6 @@ def test_json_rejects_garbage():
         from_json('{"order": 3}')
     with pytest.raises(ValueError, match="malformed graph JSON"):
         from_json('[1, 2]')
+    # json's decoder recurses once per level
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json("[" * 100_000)

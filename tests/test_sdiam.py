@@ -23,9 +23,9 @@ from steinerk.families import FamilySpec, cycle, generate, grid, hamming, path, 
 from steinerk.graphs import induced_subgraph, is_connected, to_json
 from steinerk.sdiam import (
     _colex_sets,
-    _masks_by_size,
     _sets_through,
     _size_extremes,
+    _size_vertex_extremes,
     _sweep_values,
     _top_slice,
 )
@@ -194,30 +194,6 @@ def test_sweeps_honour_dp_limit(monkeypatch):
     assert steiner_k_diameter(g, 3, witness=False).value == 15
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 11, 16, 20])
-def test_masks_by_size_lists_each_size_ascending(n):
-    got = _masks_by_size(n)
-    assert got.dtype == np.int32
-    if n <= 11:
-        want = [m for k in range(n + 1) for m in range(1 << n) if bin(m).count("1") == k]
-        assert got.tolist() == want
-    else:
-        # a stable sort by set-bit count gives the same order
-        assert np.array_equal(got, np.argsort(_popcounts(n), kind="stable"))
-
-
-def test_order_20_masks_by_size_memory_is_bounded():
-    _popcounts(20)  # cached across calls, so not part of the index's cost
-    tracemalloc.start()
-    try:
-        _masks_by_size.__wrapped__(20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the index itself is 4 MiB of int32
-    assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
-
-
 def _two_paths(order, cut):
     """A path on 0..cut-1 and another on cut..order-1."""
     return Graph(order, [(v, v + 1) for v in range(order - 1) if v + 1 != cut])
@@ -240,9 +216,8 @@ def test_size_extremes_match_the_per_k_index(name, monkeypatch):
     best, first = _size_extremes.__wrapped__(g)
     assert len(best) == len(first) == g.order + 1
     for k in range(2, g.order + 1):
-        # the k-sets' slice of the size index; argmax keeps the smallest mask
-        start = sum(math.comb(g.order, j) for j in range(k))
-        idx = _masks_by_size(g.order)[start:start + math.comb(g.order, k)]
+        # the k-sets in ascending mask order; argmax keeps the smallest mask
+        idx = np.flatnonzero(_popcounts(g.order) == k)
         mask = int(idx[int(np.argmax(table[idx]))])
         assert (best[k], first[k]) == (int(table[mask]), mask), k
 
@@ -260,12 +235,40 @@ def test_order_20_size_extremes_memory_is_bounded():
     assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_table_route_diameter_builds_no_size_index():
+@pytest.mark.parametrize("name", EXTREME_CASES)
+def test_size_vertex_extremes_match_a_brute_force(name, monkeypatch):
+    # blocks of 1000 masks leave every table of order 10 or more a ragged last block
+    monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", 1000)
+    g = EXTREME_CASES[name]
+    table = steinerk.sdiam._superset_table(g)
+    got = _size_vertex_extremes.__wrapped__(g)
+    assert len(got) == g.order + 1
+    for k in range(1, g.order + 1):
+        sets = np.flatnonzero(_popcounts(g.order) == k)
+        for v in range(g.order):
+            best = int(table[sets[sets >> v & 1 == 1]].max())
+            assert got[k][v] == (INFINITE if best == g.order else best), (k, v)
+
+
+def test_order_20_size_vertex_extremes_memory_is_bounded():
+    g = grid(4, 5)
+    steinerk.sdiam._superset_table(g)  # the table and popcounts are cached,
+    _popcounts(20)  # so neither is part of the pass's cost
+    tracemalloc.start()
+    try:
+        _size_vertex_extremes.__wrapped__(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_table_route_diameter_builds_no_vertex_pass():
     g = petersen()
-    before = _masks_by_size.cache_info()
+    before = _size_vertex_extremes.cache_info()
     for k in range(2, g.order + 1):
         steiner_k_diameter(g, k)
-    assert _masks_by_size.cache_info() == before
+    assert _size_vertex_extremes.cache_info() == before
 
 
 @pytest.mark.parametrize("n", range(13))
