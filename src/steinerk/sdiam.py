@@ -1,12 +1,12 @@
 """Steiner k-eccentricity, k-radius, and k-diameter by subset enumeration.
 
-Two strategies: small graphs read the connected-superset table. The k-diameter
-of every k comes from one blocked pass over it, which keeps each set size's
-largest entry and the first mask attaining it; the k-eccentricity and k-radius
-of every k come from another, which ORs each mask into its (set size, entry)
-cell. Larger graphs sweep the k-sets as ascending tuples in colex order (by
-largest vertex, then by the rest in colex order, which is ascending bitmask
-order) with connectivity shortcuts (induced-connected sets cost k-1,
+Two strategies: small graphs read the connected-superset table. One blocked
+pass over it gives the k-diameter, k-eccentricity and k-radius of every k: it
+keeps each (set size, entry) cell's first mask and the OR of its masks, so each
+size's largest entry and first mask attaining it, and each vertex's largest
+entry, are lookups. Larger graphs sweep the k-sets as ascending tuples in colex
+order (by largest vertex, then by the rest in colex order, which is ascending
+bitmask order) with connectivity shortcuts (induced-connected sets cost k-1,
 one-extra-vertex sets cost k) before the DP. The first set in that order that
 attains the maximum is the answer. A pooled sweep gives each task the sets with
 one largest vertex, which are one contiguous colex run; jobs below 2 sweep
@@ -45,67 +45,52 @@ def _check_k(g: Graph, k: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def _size_extremes(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each set size j, the largest superset-table entry over the j-sets
-    and the smallest mask that attains it.
+def _size_extremes(
+    g: Graph,
+) -> tuple[tuple[Distance, ...], tuple[int, ...], tuple[tuple[Distance, ...], ...]]:
+    """For each set size j: the largest superset-table entry over the j-sets,
+    the smallest mask that attains it, and for each vertex v the largest entry
+    over the j-sets through v (the Steiner j-eccentricity of v); INFINITE for n.
 
-    Two passes over the table in blocks of _TABLE_BLOCK masks, with no index
-    of the masks by size: the first bincounts popcount * (n + 1) + entry, which
-    gives each size's maximum; the second finds each size's first mask whose
-    entry is that maximum, and stops once every size has one. At order 20,
-    with the table and the popcounts cached, the tracemalloc peak is 0.25 MiB."""
+    One pass over the table in blocks of _TABLE_BLOCK masks, keyed popcount *
+    (n + 1) + entry: a stable argsort groups each block's masks by (size,
+    entry) cell in ascending order, so a run's head is its first mask and
+    bitwise_or.reduceat gives the OR of its masks. e_j(v) is then the largest
+    entry whose size-j cell has bit v. Tuples, not arrays, so a warm read costs
+    no numpy call. At order 20, with the table and the popcounts cached, the
+    tracemalloc peak is 0.36 MiB."""
     n = g.order
     table = _superset_table(g)
     pop = _popcounts(n)
     block = steiner._TABLE_BLOCK
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    first = np.full((n + 1) * (n + 1), -1, dtype=np.int64)
+    cover = np.zeros_like(first)
     for start in range(0, 1 << n, block):
-        key = pop[start:start + block].astype(np.intp)
+        key = pop[start:start + block].astype(np.uint16)
         key *= n + 1
         key += table[start:start + block]
-        counts += np.bincount(key, minlength=counts.size)
-    best = [int(np.flatnonzero(row)[-1]) for row in counts.reshape(n + 1, n + 1)]
-    # the one n-set is the full mask, the last of all; a size already found
-    # looks for 255, which no entry reads
-    first = [-1] * n + [(1 << n) - 1]
-    target = np.array(best[:n] + [255], dtype=np.uint8)
-    missing = n
-    for start in range(0, 1 << n, block):
-        sizes = pop[start:start + block]
-        hits = np.flatnonzero(table[start:start + block] == target[sizes])
-        found, at = np.unique(sizes[hits], return_index=True)
-        for j, i in zip(found.tolist(), hits[at].tolist()):
-            first[j] = start + i
-        target[found] = 255
-        missing -= found.size
-        if not missing:
-            break
-    return tuple(best), tuple(first)
-
-
-@lru_cache(maxsize=16)
-def _size_vertex_extremes(g: Graph) -> tuple[tuple[Distance, ...], ...]:
-    """For each set size j and vertex v, the largest superset-table entry over
-    the j-sets through v: the Steiner j-eccentricity of v, INFINITE for n.
-
-    One pass over the table in blocks of _TABLE_BLOCK masks ORs every mask into
-    its (size, entry) cell, keyed popcount * (n + 1) + entry as in
-    _size_extremes; e_j(v) is then the largest entry whose size-j cell has bit
-    v. At order 20, with the table and the popcounts cached, the tracemalloc
-    peak is 0.3 MiB."""
-    n = g.order
-    table = _superset_table(g)
-    pop = _popcounts(n)
-    block = steiner._TABLE_BLOCK
-    cover = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    for start in range(0, 1 << n, block):
-        key = pop[start:start + block].astype(np.intp)
-        key *= n + 1
-        key += table[start:start + block]
-        np.bitwise_or.at(cover, key, np.arange(start, start + key.size))
+        masks = np.argsort(key, kind="stable")
+        key = key[masks]
+        masks += start
+        heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+        cells = key[heads]
+        unseen = first[cells] < 0
+        first[cells[unseen]] = masks[heads[unseen]]
+        cover[cells] |= np.bitwise_or.reduceat(masks, heads)
+    first = first.reshape(n + 1, n + 1)
+    # a size's largest entry is its last filled cell
+    best = n - np.argmax(first[:, ::-1] >= 0, axis=1)
     has = cover.reshape(n + 1, n + 1, 1) >> np.arange(n) & 1
     ecc = (has * np.arange(n + 1)[:, None]).max(axis=1)
-    return tuple(tuple(INFINITE if e == n else e for e in row) for row in ecc.tolist())
+
+    def distances(row):
+        return tuple(INFINITE if e == n else e for e in row)
+
+    return (
+        distances(best.tolist()),
+        tuple(first[np.arange(n + 1), best].tolist()),
+        tuple(map(distances, ecc.tolist())),
+    )
 
 
 def _colex_sets(n: int, k: int):
@@ -167,7 +152,8 @@ def steiner_eccentricity(g: Graph, v: int, k: int) -> Distance:
     check_vertex(g, v)
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return _size_vertex_extremes(g)[k][v]
+        _, _, ecc = _size_extremes(g)
+        return ecc[k][v]
     config.check_dp_limit(k)
     return max(value for value, _ in _sweep_values(g, _sets_through(g.order, k, v)))
 
@@ -176,7 +162,8 @@ def steiner_k_radius(g: Graph, k: int) -> Distance:
     """Minimum Steiner k-eccentricity over all vertices."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        return min(_size_vertex_extremes(g)[k])
+        _, _, ecc = _size_extremes(g)
+        return min(ecc[k])
     config.check_dp_limit(k)
     # once a k-set spans two components, so does one through every vertex
     ecc: list[Distance] = [-1] * g.order
@@ -193,16 +180,16 @@ def steiner_k_diameter(
 ) -> SdiamResult:
     """Maximum Steiner distance over all k-subsets, with the first attaining
     subset in colex order (the smallest by bitmask) and its witness tree. Up to
-    the spectrum limit the value and set are read from _size_extremes, one
-    cached pass over the superset table for every k; above it a sweep uses a
-    pool of up to jobs workers, capped at the CPU count."""
+    the spectrum limit the value and set are read from _size_extremes, the one
+    cached pass over the superset table that also answers every k-eccentricity
+    and k-radius; above it a sweep uses a pool of up to jobs workers, capped at
+    the CPU count."""
     _check_k(g, k)
     if g.order <= config.SPECTRUM_LIMIT:
-        best, first = _size_extremes(g)
+        best, first, _ = _size_extremes(g)
         # n, no connected superset, is the largest entry, so the first mask of
         # a size that holds an unreachable set is its first unreachable set
-        value = INFINITE if best[k] == g.order else best[k]
-        mask = first[k]
+        value, mask = best[k], first[k]
         witness_set = tuple(v for v in range(g.order) if mask >> v & 1)
     else:
         config.check_dp_limit(k)

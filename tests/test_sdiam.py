@@ -25,7 +25,6 @@ from steinerk.sdiam import (
     _colex_sets,
     _sets_through,
     _size_extremes,
-    _size_vertex_extremes,
     _sweep_values,
     _top_slice,
 )
@@ -209,17 +208,28 @@ EXTREME_CASES = {
 
 @pytest.mark.parametrize("name", EXTREME_CASES)
 def test_size_extremes_match_the_per_k_index(name, monkeypatch):
-    # blocks of 1000 masks leave every table of order 10 or more a ragged last block
-    monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", 1000)
     g = EXTREME_CASES[name]
+    n = g.order
     table = steinerk.sdiam._superset_table(g)
-    best, first = _size_extremes.__wrapped__(g)
-    assert len(best) == len(first) == g.order + 1
-    for k in range(2, g.order + 1):
-        # the k-sets in ascending mask order; argmax keeps the smallest mask
-        idx = np.flatnonzero(_popcounts(g.order) == k)
-        mask = int(idx[int(np.argmax(table[idx]))])
-        assert (best[k], first[k]) == (int(table[mask]), mask), k
+    pop = _popcounts(n)
+
+    def dist(entry):
+        return INFINITE if entry == n else int(entry)
+
+    # blocks of 1000 masks leave every table of order 10 or more a ragged last
+    # block, and a (size, entry) cell spans blocks
+    for block in (1000, steinerk.steiner._TABLE_BLOCK):
+        monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", block)
+        best, first, ecc = _size_extremes.__wrapped__(g)
+        assert len(best) == len(first) == len(ecc) == n + 1
+        for k in range(1, n + 1):
+            # the k-sets in ascending mask order; argmax keeps the smallest mask
+            sets = np.flatnonzero(pop == k)
+            mask = int(sets[int(np.argmax(table[sets]))])
+            assert (best[k], first[k]) == (dist(table[mask]), mask), (block, k)
+            for v in range(n):
+                want = dist(table[sets[sets >> v & 1 == 1]].max())
+                assert ecc[k][v] == want, (block, k, v)
 
 
 def test_order_20_size_extremes_memory_is_bounded():
@@ -235,40 +245,13 @@ def test_order_20_size_extremes_memory_is_bounded():
     assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("name", EXTREME_CASES)
-def test_size_vertex_extremes_match_a_brute_force(name, monkeypatch):
-    # blocks of 1000 masks leave every table of order 10 or more a ragged last block
-    monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", 1000)
-    g = EXTREME_CASES[name]
-    table = steinerk.sdiam._superset_table(g)
-    got = _size_vertex_extremes.__wrapped__(g)
-    assert len(got) == g.order + 1
-    for k in range(1, g.order + 1):
-        sets = np.flatnonzero(_popcounts(g.order) == k)
-        for v in range(g.order):
-            best = int(table[sets[sets >> v & 1 == 1]].max())
-            assert got[k][v] == (INFINITE if best == g.order else best), (k, v)
-
-
-def test_order_20_size_vertex_extremes_memory_is_bounded():
-    g = grid(4, 5)
-    steinerk.sdiam._superset_table(g)  # the table and popcounts are cached,
-    _popcounts(20)  # so neither is part of the pass's cost
-    tracemalloc.start()
-    try:
-        _size_vertex_extremes.__wrapped__(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_table_route_diameter_builds_no_vertex_pass():
+def test_table_route_queries_share_one_pass():
     g = petersen()
-    before = _size_vertex_extremes.cache_info()
-    for k in range(2, g.order + 1):
-        steiner_k_diameter(g, k)
-    assert _size_vertex_extremes.cache_info() == before
+    _size_extremes.cache_clear()
+    steiner_k_diameter(g, 4)
+    steiner_eccentricity(g, 0, 5)
+    steiner_k_radius(g, 6)
+    assert _size_extremes.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", range(13))
