@@ -206,29 +206,41 @@ EXTREME_CASES = {
 }
 
 
+def _entry_distance(g, entry):
+    return INFINITE if entry == g.order else int(entry)
+
+
 @pytest.mark.parametrize("name", EXTREME_CASES)
 def test_size_extremes_match_the_per_k_index(name, monkeypatch):
     g = EXTREME_CASES[name]
-    n = g.order
     table = steinerk.sdiam._superset_table(g)
-    pop = _popcounts(n)
-
-    def dist(entry):
-        return INFINITE if entry == n else int(entry)
-
+    pop = _popcounts(g.order)
     # blocks of 1000 masks leave every table of order 10 or more a ragged last
     # block, and a (size, entry) cell spans blocks
     for block in (1000, steinerk.steiner._TABLE_BLOCK):
         monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", block)
-        best, first, ecc = _size_extremes.__wrapped__(g)
-        assert len(best) == len(first) == len(ecc) == n + 1
-        for k in range(1, n + 1):
+        best, first, _ = _size_extremes.__wrapped__(g)
+        assert len(best) == len(first) == g.order + 1
+        for k in range(1, g.order + 1):
             # the k-sets in ascending mask order; argmax keeps the smallest mask
             sets = np.flatnonzero(pop == k)
             mask = int(sets[int(np.argmax(table[sets]))])
-            assert (best[k], first[k]) == (dist(table[mask]), mask), (block, k)
-            for v in range(n):
-                want = dist(table[sets[sets >> v & 1 == 1]].max())
+            assert (best[k], first[k]) == (_entry_distance(g, table[mask]), mask), (block, k)
+
+
+@pytest.mark.parametrize("name", EXTREME_CASES)
+def test_size_vertex_extremes_match_a_brute_force(name, monkeypatch):
+    g = EXTREME_CASES[name]
+    table = steinerk.sdiam._superset_table(g)
+    pop = _popcounts(g.order)
+    for block in (1000, steinerk.steiner._TABLE_BLOCK):
+        monkeypatch.setattr(steinerk.steiner, "_TABLE_BLOCK", block)
+        _, _, ecc = _size_extremes.__wrapped__(g)
+        assert len(ecc) == g.order + 1
+        for k in range(1, g.order + 1):
+            sets = np.flatnonzero(pop == k)
+            for v in range(g.order):
+                want = _entry_distance(g, table[sets[sets >> v & 1 == 1]].max())
                 assert ecc[k][v] == want, (block, k, v)
 
 
@@ -242,6 +254,23 @@ def test_order_20_size_extremes_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_order_20_size_vertex_extremes_memory_is_bounded():
+    # the eccentricity route end to end: the pass, then a read of every e_k(v)
+    g = grid(4, 5)
+    steinerk.sdiam._superset_table(g)
+    _popcounts(20)
+    _size_extremes.cache_clear()
+    tracemalloc.start()
+    try:
+        radii = [steiner_k_radius(g, k) for k in range(2, 21)]
+        ecc = [steiner_eccentricity(g, v, 20) for v in range(20)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert radii == sorted(radii) and ecc == [19] * 20
     assert peak <= 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
