@@ -35,10 +35,13 @@ class BoundPair(NamedTuple):
 def _pair_support(
     g: Graph, h: Graph, s: Iterable[Sequence[int]]
 ) -> list[tuple[int, int]]:
-    """Distinct (g,h) coordinate pairs of a product-vertex multiset, ascending."""
+    """Distinct (g,h) coordinate pairs of a product-vertex multiset, ascending.
+    A coordinate must be an int: bool, float and str raise, not truncate."""
     pairs = set()
     for item in s:
-        gi, hj = int(item[0]), int(item[1])
+        if len(item) != 2 or type(item[0]) is not int or type(item[1]) is not int:
+            raise ValueError(f"product vertex {item!r} is not a pair of integers")
+        gi, hj = item
         if not (0 <= gi < g.order and 0 <= hj < h.order):
             raise ValueError(f"product vertex ({gi},{hj}) outside {g.order}x{h.order}")
         pairs.add((gi, hj))

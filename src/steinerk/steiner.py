@@ -23,7 +23,7 @@ Distance = float  # int when finite, INFINITE otherwise
 
 _SPREAD_BLOCK = 10  # vertices per neighbourhood lookup table in _superset_table
 _TABLE_BLOCK = 1 << 14  # masks spread to their components at once in _superset_table
-_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner or split-table chunk
+_SPLIT_CHUNK_ENTRIES = 1 << 18  # bounds the temporaries of one Dreyfus-Wagner chunk
 # (mask, split) pairs of the largest Dreyfus-Wagner level that _dw_levels plans:
 # enough for a one-chunk merge up to order 64, and at most 0.15 MiB of plans per k
 _DW_PLAN_PAIRS = 1 << 12
@@ -419,25 +419,6 @@ def _steiner_value(
 # ---------------------------------------------------------------------------
 # witness extraction
 
-def _split_rows(g: Graph, sup: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The rows of the split table for sup: rows(idx)[j][v] = f[A][v], the
-    edge count of the smallest tree spanning v and A = {sup[i] : bit i of
-    idx[j]}, the order n where none exists. They are read off g's superset
-    table where _reads_table holds, else off the query's Dreyfus-Wagner table."""
-    if not _reads_table(g, len(sup)):
-        return _query_dw_table(g, tuple(sup)).__getitem__
-    # f[A][v] = best[mask(A) | 1 << v]
-    masks = np.zeros(1, dtype=np.int64)
-    for t in sup:
-        masks = np.concatenate((masks, masks | (1 << t)))
-    vbits = 1 << np.arange(g.order, dtype=np.int64)
-    table = _superset_table(g)
-
-    def rows(idx: np.ndarray) -> np.ndarray:
-        return table[masks[idx, None] | vbits]
-    return rows
-
-
 def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
     """Edges of g that lie on some minimum Steiner tree for sup, ascending.
 
@@ -445,11 +426,12 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
     lies on a minimum tree iff f[A][u] + 1 + f[S-A][w] == value for some split
     A of S: every leaf of a minimum tree is a terminal, so cutting (u, w) leaves
     two terminal-holding subtrees, and any split with that sum joins two trees
-    into a minimum one through (u, w). Row a of the split array is the subset
-    {sup[i] : bit i of a}, so S-A is row full - a, the reversed row order.
+    into a minimum one through (u, w). Row a of the query's Dreyfus-Wagner
+    table is the subset {sup[i] : bit i of a}, so S-A is row full - a, the
+    reversed row order.
     """
     full = (1 << len(sup)) - 1
-    split_rows = _split_rows(g, sup)
+    table = _query_dw_table(g, tuple(sup))
     u = np.array([e[0] for e in g.edges], dtype=np.int64)
     w = np.array([e[1] for e in g.edges], dtype=np.int64)
     hit = np.zeros(len(g.edges), dtype=bool)
@@ -457,16 +439,16 @@ def _optimal_edges(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, 
     for lo in range(0, full + 1, step):
         idx = np.arange(lo, min(lo + step, full + 1))
         # entries of value or more never meet the sum; capping them keeps it small
-        f = np.minimum(split_rows(idx), value)
-        rev = np.minimum(split_rows(full - idx), value)
+        f = np.minimum(table[idx], value)
+        rev = np.minimum(table[full - idx], value)
         hit |= (f[:, u] + rev[:, w] == value - 1).any(axis=0)
     return [e for e, keep in zip(g.edges, hit.tolist()) if keep]
 
 
 def _scan_node(table: list[list[int]], a: int) -> tuple[list[int], Callable[[int], int]]:
-    """Row a of the split table, read whole into lists, and v -> the first split
-    B of A, holding A's low bit, with f[B][v] + f[A-B][v] == f[A][v]; 0 where
-    none does. Each v scans the splits in order as it is asked."""
+    """Row a of the Dreyfus-Wagner table, read whole into lists, and v -> the
+    first split B of A, holding A's low bit, with f[B][v] + f[A-B][v] ==
+    f[A][v]; 0 where none does. Each v scans the splits in order as asked."""
     low = a & -a
     rest = a ^ low
     f = table[a]
@@ -482,15 +464,15 @@ def _scan_node(table: list[list[int]], a: int) -> tuple[list[int], Callable[[int
     return f, first_split
 
 
-def _fold_node(split_rows: Callable[[np.ndarray], np.ndarray], n: int, a: int
-               ) -> tuple[list[int], Callable[[int], int]]:
-    """_scan_node for a split table too large to read whole: every v's first
+def _fold_node(table: np.ndarray, a: int) -> tuple[list[int], Callable[[int], int]]:
+    """_scan_node for a table too large to read whole: every v's first
     split at once, in numpy, _SPLIT_CHUNK_ENTRIES // n splits at a time. Split
     j of A's 2^r - 1 is low with the subset of rank 2^r - 2 - j of the r bits
     of A - low."""
     low = a & -a
     places = [1 << i for i in range(a.bit_length()) if (a ^ low) >> i & 1]
-    f = split_rows(np.array([a]))[0]
+    f = table[a]
+    n = len(f)
     first = np.zeros(n, dtype=np.int64)
     step = max(1, _SPLIT_CHUNK_ENTRIES // n)
     for hi in range((1 << len(places)) - 2, -1, -step):
@@ -498,31 +480,31 @@ def _fold_node(split_rows: Callable[[np.ndarray], np.ndarray], n: int, a: int
         part = np.full(len(rank), low, dtype=np.int64)
         for i, bit in enumerate(places):
             part |= (rank >> i & 1) * bit
-        hit = split_rows(part) + split_rows(a ^ part) == f
+        hit = table[part] + table[a ^ part] == f
         new = (first == 0) & hit.any(axis=0)
         first[new] = part[hit.argmax(axis=0)[new]]
     return f.tolist(), first.tolist().__getitem__
 
 
 def _min_tree(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
-    """One minimum Steiner tree for sup, ascending, by backtracking the split
-    table from (all of sup, sup[0]).
+    """One minimum Steiner tree for sup, ascending, by backtracking the query's
+    Dreyfus-Wagner table from (all of sup, sup[0]).
 
     At (A, v) it takes the first split B of A, holding A's low bit, with
     f[B][v] + f[A-B][v] == f[A][v] and backtracks both parts from v; failing
     that, it steps along the edge to the smallest neighbour u with
     f[A][u] + 1 == f[A][v]. Above f = 0 one of the two holds (the Dreyfus-Wagner
     recurrence), so the pieces' sizes add up to value. Their union is connected
-    and spans sup, so with at most value edges it is a minimum tree. A split
-    table that fits one _SPLIT_CHUNK_ENTRIES chunk is read once (_scan_node);
+    and spans sup, so with at most value edges it is a minimum tree. A table
+    that fits one _SPLIT_CHUNK_ENTRIES chunk is read once (_scan_node);
     a larger one a node at a time (_fold_node).
     """
     full = (1 << len(sup)) - 1
-    split_rows = _split_rows(g, sup)
-    if (full + 1) * g.order <= _SPLIT_CHUNK_ENTRIES:
-        node = partial(_scan_node, split_rows(np.arange(full + 1)).tolist())
+    table = _query_dw_table(g, tuple(sup))
+    if table.size <= _SPLIT_CHUNK_ENTRIES:
+        node = partial(_scan_node, table.tolist())
     else:
-        node = partial(_fold_node, split_rows, g.order)
+        node = partial(_fold_node, table)
     tree: list[tuple[int, int]] = []
     stack = [(full, sup[0])]
     while stack:
@@ -544,12 +526,12 @@ def _trial(
     g: Graph,
     sup: Sequence[int],
     forced: list[tuple[int, int]],
-    excluded: set[tuple[int, int]],
     budget: int,
     usable: set[tuple[int, int]],
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]] | None:
     """One greedy trial: None unless a Steiner tree for sup through the forced
-    forest, avoiding excluded edges, needs at most budget more edges. Else the
+    forest needs at most budget more edges. Such a tree is a minimum one, so
+    its edges are usable and only usable edges are contracted. Else the
     greedy's refreshed certificate and usable set, from the contracted instance
     that decided it, each contracted edge standing for its smallest original.
     At value k - 1 or k (k = |need|) the certificate is that instance's
@@ -568,9 +550,7 @@ def _trial(
     if len(need_roots) - 1 > budget:
         return None
     originals: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e in g.edges:
-        if e in excluded:
-            continue
+    for e in sorted(usable):
         ru, rv = dsu.find(e[0]), dsu.find(e[1])
         if ru != rv:
             originals.setdefault((ru, rv) if ru < rv else (rv, ru), []).append(e)
@@ -595,6 +575,26 @@ def _trial(
     return set(forced).union(originals[roots[a], roots[b]][0] for a, b in tree), usable
 
 
+def _table_witness(g: Graph, sup: Sequence[int], value: int) -> list[tuple[int, int]]:
+    """The greedy of _lexmin_witness on g's superset table: an edge is kept where
+    it joins two parts of the kept forest and the table still reads value at sup
+    plus the forest's vertices and the edge's ends. A minimum tree holds a forest
+    iff its vertex set is such a superset, and an edge skipped at its turn lies
+    on no minimum tree through any later forest, so the skips need no record."""
+    best = _superset_table(g)
+    mask = sum(1 << t for t in sup)
+    chosen: list[tuple[int, int]] = []
+    dsu = _DSU(range(g.order))
+    for u, w in g.edges:  # g.edges is sorted ascending
+        grown = mask | 1 << u | 1 << w
+        if best[grown] == value and dsu.union(u, w):
+            chosen.append((u, w))
+            mask = grown
+            if len(chosen) == value:
+                break
+    return chosen
+
+
 def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple[int, int]]:
     """Minimum Steiner tree for sup with the lexicographically smallest edge list."""
     if value == INFINITE or value == 0:
@@ -606,18 +606,19 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
         return tree
     if value == k:
         return min(lexmin_spanning_tree(g, [*sup, v]) for v in _extra_vertices(g, sup))
-    # general case: greedy over ascending edges; keep an edge whenever a tree of
-    # the optimal size through the kept forest still exists without skipped
-    # edges. An edge on no minimum tree would fail its trial, and every trial
-    # has the same outcome without such edges, so only the others are tried.
+    if _reads_table(g, k):
+        return _table_witness(g, sup, value)
+    # off the table: greedy over ascending edges; keep an edge whenever a tree of
+    # the optimal size through the kept forest still exists. An edge skipped at
+    # its turn lies on no such tree through any later forest, and an edge on
+    # no minimum tree would fail its trial, so only the others are tried.
     # The certificate is one such tree through the kept forest (empty where
     # none is known), and usable holds every edge on any such tree: an edge on
     # the certificate passes its trial and one outside usable fails it, so
     # neither needs a re-solve. The set of such trees only shrinks as edges are
-    # kept or skipped, so a usable set taken earlier still holds every edge.
+    # kept, so a usable set taken earlier still holds every edge.
     candidates = _optimal_edges(g, sup, value)
     chosen: list[tuple[int, int]] = []
-    excluded = set(g.edges).difference(candidates)
     certificate = set(_min_tree(g, sup, value))
     usable = set(candidates)
     dsu = _DSU(range(g.order))
@@ -629,15 +630,13 @@ def _lexmin_witness(g: Graph, sup: Sequence[int], value: Distance) -> list[tuple
         elif e not in usable or dsu.find(e[0]) == dsu.find(e[1]):
             keep = False
         else:
-            trial = _trial(g, sup, chosen + [e], excluded, value - len(chosen) - 1, usable)
+            trial = _trial(g, sup, chosen + [e], value - len(chosen) - 1, usable)
             keep = trial is not None
             if keep:
                 certificate, usable = trial
         if keep:
             chosen.append(e)
             dsu.union(e[0], e[1])
-        else:
-            excluded.add(e)
     assert len(chosen) == value
     return chosen
 

@@ -1,13 +1,17 @@
 """Shared hypothesis strategies for graph-valued properties, a witness-tree
 checker that is independent of the package's own, so the tests never judge the
-program with its own checker, a pure-Python Dreyfus-Wagner table to pin the
-package's numpy one, a seeded sparse connected graph, and a helper that
-forces the off-table routes."""
+program with its own checker, a brute-force lexmin witness, a pure-Python
+Dreyfus-Wagner table to pin the package's numpy one, a seeded sparse connected
+graph, and a helper that forces the off-table routes."""
+
+import itertools
 
 import pytest
 from hypothesis import strategies as st
 
 from steinerk import Graph, config
+from steinerk.graphs import induced_subgraph, is_connected
+from steinerk.steiner import lexmin_spanning_tree
 
 
 def off_table(fn, *args, **kwargs):
@@ -80,6 +84,17 @@ def is_valid_tree(g, edges, terminals) -> bool:
         seen.add(u)
         stack.extend(adj[u])
     return seen == verts
+
+
+def brute_lexmin_tree(g, terms, value):
+    """The lexicographically smallest minimum Steiner tree: the smallest lexmin
+    spanning tree over the connected supersets of terms with value + 1 vertices."""
+    rest = [v for v in range(g.order) if v not in terms]
+    return min(
+        tuple(lexmin_spanning_tree(g, [*terms, *extra]))
+        for extra in itertools.combinations(rest, value + 1 - len(terms))
+        if is_connected(induced_subgraph(g, [*terms, *extra])[0])
+    )
 
 
 def reference_dreyfus_wagner_table(g, sup) -> list[list[int]]:

@@ -89,6 +89,20 @@ def test_cartesian_bounds_need_three_distinct():
         cartesian_distance_bounds(Graph(3, [(0, 1)]), path(3), [(0, 0), (1, 1), (2, 2)])
 
 
+@pytest.mark.parametrize(
+    "bad", [(1.5, 1), (1.9, 1.2), (True, 2), ("1", 1), (1, 2, 0)],
+    ids=["float", "floats", "bool", "str", "triple"],
+)
+def test_product_vertices_must_be_integer_pairs(bad):
+    # a float coordinate once truncated: (1.5, 1) read as (1, 1) gave (4, 4)
+    terms = [(0, 0), bad, (2, 2)]
+    for build in (cartesian_distance_bounds, build_cartesian_tree, lex_distance_closed_form,
+                  build_lexicographic_tree):
+        with pytest.raises(ValueError, match="product vertex"):
+            build(path(3), path(3), terms)
+    assert cartesian_distance_bounds(path(3), path(3), [(0, 0), (1, 1), (2, 2)]) == (4, 4)
+
+
 # --- Cartesian k-diameter bounds ---
 
 

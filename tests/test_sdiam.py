@@ -20,7 +20,7 @@ from steinerk import (
 )
 from steinerk.cli import main
 from steinerk.families import FamilySpec, cycle, generate, grid, hamming, path, petersen, star
-from steinerk.graphs import induced_subgraph, is_connected, to_json
+from steinerk.graphs import to_json
 from steinerk.sdiam import (
     _colex_sets,
     _sets_through,
@@ -28,10 +28,10 @@ from steinerk.sdiam import (
     _sweep_values,
     _top_slice,
 )
-from steinerk.steiner import _popcounts, lexmin_spanning_tree
+from steinerk.steiner import _popcounts
 from steinerk.verify import closed_form_table, random_connected_graph
 
-from strategies import off_table
+from strategies import brute_lexmin_tree, off_table
 
 
 def test_path_diameters():
@@ -143,17 +143,6 @@ ABOVE_DP_LIMIT = [
 ]
 
 
-def _brute_lexmin_tree(g, terms, value):
-    """The lexicographically smallest minimum Steiner tree: the smallest lexmin
-    spanning tree over the connected supersets of terms with value + 1 vertices."""
-    rest = [v for v in range(g.order) if v not in terms]
-    return min(
-        tuple(lexmin_spanning_tree(g, [*terms, *extra]))
-        for extra in itertools.combinations(rest, value + 1 - len(terms))
-        if is_connected(induced_subgraph(g, [*terms, *extra])[0])
-    )
-
-
 def test_k_diameters_above_the_dp_limit_agree_across_routes(tmp_path, capsys):
     pairs = 0
     for family, params, ks in ABOVE_DP_LIMIT:
@@ -166,7 +155,7 @@ def test_k_diameters_above_the_dp_limit_agree_across_routes(tmp_path, capsys):
         for k in ks:
             res = steiner_k_diameter(g, k)
             assert rows[k].verdict == "PASS" and rows[k].computed == res.value, (family, k)
-            assert res.witness_tree == _brute_lexmin_tree(g, res.witness_set, res.value), (family, k)
+            assert res.witness_tree == brute_lexmin_tree(g, res.witness_set, res.value), (family, k)
             assert main(["sdiam", "-g", str(gf), "-k", str(k)]) == 0, (family, k)
             out = capsys.readouterr().out.splitlines()
             assert out == [

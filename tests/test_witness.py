@@ -14,9 +14,10 @@ import pytest
 import steinerk.steiner
 from steinerk import INFINITE, Graph, config, steiner_distance, steiner_distance_oracle
 from steinerk.families import cycle, path
+from steinerk.graphs import component_labels
 from steinerk.steiner import _min_tree, _optimal_edges, _reads_table, _superset_table
 
-from strategies import is_valid_tree, off_table, sparse_connected
+from strategies import brute_lexmin_tree, is_valid_tree, off_table, sparse_connected
 
 
 def _random_connected(rng, n, p):
@@ -75,9 +76,9 @@ def test_witness_is_lexmin_minimum_tree():
 @pytest.mark.parametrize("limit", [None, 0])
 @pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "small_chunks"])
 def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
-    # a spectrum limit of 0 takes the split arrays from Dreyfus-Wagner instead
-    # of the superset table; 64-entry chunks split every split array of these
-    # graphs into several row chunks, the last one ragged
+    # the split arrays are the query's Dreyfus-Wagner table on every route, so
+    # a spectrum limit of 0 must not change them; 64-entry chunks split every
+    # split array of these graphs into several row chunks, the last one ragged
     if limit is not None:
         monkeypatch.setattr(config, "SPECTRUM_LIMIT", limit)
     if chunk is not None:
@@ -94,9 +95,9 @@ def test_optimal_edges_are_union_of_minimum_trees(limit, chunk, monkeypatch):
     ids=["None", "0", "None_chunked", "0_chunked"],
 )
 def test_min_tree_is_a_minimum_tree(limit, chunk, monkeypatch):
-    # the greedy's first certificate. By default the split rows come off the
-    # superset table where the query reads one and off Dreyfus-Wagner
-    # elsewhere; a spectrum limit of 0 sends every case to Dreyfus-Wagner.
+    # the DP-route greedy's first certificate. The split rows are the query's
+    # Dreyfus-Wagner table on every route, so a spectrum limit of 0, which
+    # takes every case off the table route, must not change the tree.
     # Every split table here fits one chunk, so by default it is read once;
     # 8-entry chunks fold each node's split sums over one or two splits at a
     # time in numpy, the last chunk ragged, and must pick the same tree
@@ -131,9 +132,10 @@ def _route_cases():
 
 
 def test_witness_route_agreement():
-    # where the default route reads the superset table, the split arrays come
-    # off it; off the table they come from Dreyfus-Wagner, and the tree must
-    # not move. Only the value > k cases build the witness from split arrays
+    # where the default route reads the superset table, the witness greedy
+    # reads it one entry per edge; off the table it runs on Dreyfus-Wagner
+    # split arrays and trials, and the tree must not move. Only the value > k
+    # cases run either greedy
     general = table_general = 0
     for g, terms in _route_cases():
         reads = _superset_table.cache_info()
@@ -154,7 +156,8 @@ def test_certificates_halve_the_contracted_resolves(monkeypatch):
     # minimum trees it knows of without a re-solve; the same 64 queries ran
     # 348 re-solves when every candidate edge took one. A trial whose kept
     # edges leave more parts than edges to spare fails before it contracts:
-    # 25 of today's 50 trials re-solve, where all but one did before
+    # 19 of today's 40 trials re-solve, where all but one did before. Queries
+    # on the table route run no trials; they ran 10 of 50 when they did
     trials, resolves = [], []
     trial, value = steinerk.steiner._trial, steinerk.steiner._steiner_value
 
@@ -222,18 +225,81 @@ def test_two_terminal_witness_builds_no_table():
     assert _superset_table.cache_info().misses == misses
 
 
-@pytest.mark.parametrize(
-    "seed, terms, table_misses",
-    [(234, [1, 4, 6, 9, 12], 0), (94, [0, 3, 5, 6, 7, 8, 10, 11, 12], 1)],
-    ids=["k5_dp", "k9_table"],
-)
-def test_contracted_tables_stay_out_of_cache(seed, terms, table_misses, monkeypatch):
-    # at order 13 a query reads the superset table only where 2^13 <= 3^k, so
-    # k = 5 takes the DP and k = 9 the table. The greedy's contracted re-solves
-    # build one-off tables here too; each is read once, so only the query's own
-    # table goes through the shared cache
+def _table_route_cases():
+    """(graph, terminals) on 200 seeded graphs of order 6-12, a random tree
+    plus up to two edges, every third one split into two such trees: one seeded
+    terminal set for each k at which the query reads the superset table, most
+    of those on a split graph inside its first tree; then path(20) and
+    cycle(20) at k = 15."""
+    rng = random.Random(29)
+    for i in range(200):
+        n = rng.randint(6, 12)
+        cut = rng.randint(n - 3, n - 2) if i % 3 == 0 else n
+        parts = [range(cut), range(cut, n)] if cut < n else [range(n)]
+        edges = {(rng.randrange(part[0], v), v) for part in parts for v in part[1:]}
+        for _ in range(rng.randint(0, 2)):
+            edges.add(tuple(sorted(rng.sample(rng.choice(parts), 2))))
+        g = Graph(n, edges)
+        for k in range(3, n + 1):
+            if _reads_table(g, k):
+                pool = range(cut) if k <= cut and rng.random() < 0.8 else range(n)
+                yield g, sorted(rng.sample(pool, k))
+    # two 15-terminal witnesses on order 20; on the ring two 3-edge gaps tie
+    yield path(20), [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16, 18, 19]
+    yield cycle(20), [v for v in range(20) if v not in (2, 3, 10, 18, 19)]
+
+
+def test_table_route_witness_reads_only_the_superset_table(monkeypatch):
+    # on the table route the witness greedy reads the query's cached superset
+    # table once per edge: no trial, no Dreyfus-Wagner table and no one-off
+    # superset table, and its tree is the brute-force lexmin minimum tree
+    trials, built, one_off = [], [], []
+    trial, dreyfus_wagner = steinerk.steiner._trial, steinerk.steiner._dreyfus_wagner_table
+    build = _superset_table.__wrapped__
+    monkeypatch.setattr(steinerk.steiner, "_trial", lambda *a: trials.append(a) or trial(*a))
+    monkeypatch.setattr(steinerk.steiner, "_dreyfus_wagner_table",
+                        lambda h, sup: built.append(h.order) or dreyfus_wagner(h, sup))
+    monkeypatch.setattr(_superset_table, "__wrapped__",
+                        lambda h: one_off.append(h.order) or build(h))
+    general = forest = unreachable = 0
+    for g, terms in _table_route_cases():
+        res = steiner_distance(g, terms)
+        if res.distance == INFINITE:
+            assert res.tree_edges == (), (g.edges, terms)
+            unreachable += 1
+            continue
+        assert res.tree_edges == brute_lexmin_tree(g, terms, res.distance), (g.edges, terms)
+        general += res.distance > len(terms)
+        forest += max(component_labels(g)) > 0
+    assert trials == built == one_off == []
+    assert general >= 70 and forest >= 60 and unreachable >= 150, (general, forest, unreachable)
+
+
+def _order_21_24_case(seed):
+    """A seeded random recursive tree of order 21-24 plus two random chords, and
+    10-12 seeded terminals: above the spectrum limit, so the query takes the DP."""
     rng = random.Random(seed)
-    g = Graph(13, {(rng.randrange(v), v) for v in range(1, 13)} | {(2, 9), (4, 11)})
+    n = rng.randint(21, 24)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2)}
+    return Graph(n, edges), sorted(rng.sample(range(n), rng.randint(10, 12)))
+
+
+def _contracted_case(name):
+    if name == "k5_dp":
+        rng = random.Random(234)
+        edges = {(rng.randrange(v), v) for v in range(1, 13)} | {(2, 9), (4, 11)}
+        return Graph(13, edges), [1, 4, 6, 9, 12]
+    return _order_21_24_case(198)
+
+
+@pytest.mark.parametrize("name", ["k5_dp", "k12_order21"])
+def test_contracted_tables_stay_out_of_cache(name, monkeypatch):
+    # both queries take the DP: order 13 at k = 5, where 2^13 > 3^5, and order
+    # 21, above the spectrum limit. The greedy's contracted re-solves (one of
+    # order 17 for the order-21 query) build one-off superset tables; each is
+    # read once, so none goes through the shared cache
+    g, terms = _contracted_case(name)
     one_off = []
     build = _superset_table.__wrapped__
     monkeypatch.setattr(_superset_table, "__wrapped__", lambda h: one_off.append(h) or build(h))
@@ -242,15 +308,14 @@ def test_contracted_tables_stay_out_of_cache(seed, terms, table_misses, monkeypa
     assert res.distance > len(terms)
     assert is_valid_tree(g, res.tree_edges, terms)
     assert one_off
-    assert _superset_table.cache_info().misses == misses + table_misses
+    assert _superset_table.cache_info().misses == misses
 
 
 def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
-    # the greedy's contracted graphs here have order up to 17 and |need| large
-    # enough that 2^order <= 3^|need|, so each reads a one-off table and none
-    # runs the Dreyfus-Wagner DP. On path(20) the first certificate is already
-    # the witness, so nothing is re-solved; on cycle(20) two 3-edge gaps tie and
-    # the certificate skips the gap the witness keeps
+    # an order-23 query with 12 terminals takes the DP; the greedy's contracted
+    # graphs have order 11 to 17 and |need| large enough that 2^order <=
+    # 3^|need|, so each reads a one-off table and the query's own is the only
+    # Dreyfus-Wagner table built
     built = []
     dreyfus_wagner = steinerk.steiner._dreyfus_wagner_table
 
@@ -262,14 +327,15 @@ def test_contracted_resolves_take_tables_up_to_the_spectrum_limit(monkeypatch):
     build = _superset_table.__wrapped__
     monkeypatch.setattr(_superset_table, "__wrapped__", lambda h: one_off.append(h.order) or build(h))
     monkeypatch.setattr(steinerk.steiner, "_dreyfus_wagner_table", counting)
-    terms = [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16, 18, 19]
-    res = steiner_distance(path(20), terms)
-    assert res == (19, path(20).edges)
-    ring = cycle(20)
-    res = steiner_distance(ring, [v for v in range(20) if v not in (2, 3, 10, 18, 19)])
-    assert res == (17, tuple(e for e in ring.edges if e not in {(1, 2), (2, 3), (3, 4)}))
+    steinerk.steiner._query_dw_table.cache_clear()
+    g, terms = _order_21_24_case(321)
+    res = steiner_distance(g, terms)
+    assert (g.order, len(terms)) == (23, 12)
+    assert res.distance > len(terms)
+    assert res.distance == steiner_distance_oracle(g, terms).distance
+    assert is_valid_tree(g, res.tree_edges, terms)
     assert [n for n in one_off if n > 16]
-    assert [n for n in built if n > 16] == []
+    assert built == [g.order]
 
 
 def _large_k_case(name):
@@ -285,14 +351,14 @@ def _large_k_case(name):
 
 
 # name: tracemalloc bound in MiB on a witness built with every table cache
-# empty. The split tables here are larger than one chunk, so the certificate
-# folds its split sums chunk by chunk in numpy. The first three peaked at
-# 8.75, 8.75 and 2.19 MiB when each node gathered all its splits at once, and
-# at 5.2, 5.2 and 2.3 MiB since; a copy of the whole table into lists peaks
-# several times higher. The order-120 graph's query takes Dreyfus-Wagner.
-# path20_k18 is above the DP limit, on the table route: gathering all 2^17
-# splits of its root at once took 54 MiB, and by chunks it peaks near 7 MiB.
-# The first three bounds are the gathered peaks plus 1 MiB
+# empty. The order-120 query takes Dreyfus-Wagner, and its table is larger
+# than one chunk, so the certificate folds its split sums chunk by chunk in
+# numpy (_fold_node): 2.19 MiB when each node gathered all its splits at once,
+# 2.3 MiB since. The three order-20 queries read the superset table, whose
+# witness reads one entry per edge, and peak at 3.0 MiB, the table build
+# included. They peaked at 8.75, 8.75 and 54 MiB when they gathered split
+# tables node by node, and at 5.2, 5.2 and 7.05 MiB when they folded them.
+# The bounds are the gathered peaks plus 1 MiB, 9 MiB for path20_k18
 LARGE_K_PEAKS_MIB = {"path20_k15": 9.75, "cycle20_k15": 9.75, "order120_k12": 3.19, "path20_k18": 9}
 
 
@@ -308,7 +374,7 @@ def test_large_k_witness_memory_is_bounded(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # each value is above k, so the witness comes from the general greedy
+    # each value is above k, so the witness comes from a greedy
     assert res.distance > len(terms) and is_valid_tree(g, res.tree_edges, terms)
     assert peak <= LARGE_K_PEAKS_MIB[name] * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
